@@ -15,16 +15,17 @@ EVAL_LARGE_CAP_KB ?= 2097152
 ## Generous because a cold tree pays the release build inside it.
 SIM_VERIFY_BUDGET_S ?= 600
 
-.PHONY: all build test verify doc lint fmt fmt-check bench bench-check figures eval eval-large equivalence dse dse-smoke sim-verify kir-verify serve serve-smoke mc mc-smoke clean
+.PHONY: all build test verify doc lint fmt fmt-check bench bench-check figures eval eval-large equivalence dse dse-smoke sim-verify kir-verify serve serve-smoke mc mc-smoke perfbench perfbench-test clean
 
 all: verify
 
 ## Tier-1 gate (release build + full test suite) plus the PR-1 lint
 ## gates: clippy and rustfmt, both warnings-as-errors — the
 ## streaming/materialized equivalence regression, the DSE smoke sweep,
-## the functional-simulator differential gate, and the serving smoke
-## suite, explicitly.
-verify: build test lint fmt-check equivalence dse-smoke sim-verify kir-verify serve-smoke mc-smoke
+## the functional-simulator differential gate, the serving and
+## Monte-Carlo smoke suites, and the benchmark package's own tests (so
+## a crate API change cannot silently break the benchmark), explicitly.
+verify: build test lint fmt-check equivalence dse-smoke sim-verify kir-verify serve-smoke mc-smoke perfbench-test
 
 ## The golden-model differential gate: the standard registry
 ## (AES-128/192/256 on FIPS-197 vectors, integer GEMM, a conv layer)
@@ -111,6 +112,23 @@ mc:
 ## DARTH_SERVE_REQUESTS / DARTH_SERVE_SEED / DARTH_SERVE_LOAD.
 serve:
 	$(CARGO) run -q --release -p darth_bench --bin serve
+
+## The repository benchmark (perfbench/, declared in BENCHMARK.json):
+## each workload once at seed 1, end-to-end metrics only. The last line
+## of each run is its JSON record; stderr repeats the metrics as a table.
+PERFBENCH_WORKLOADS ?= serve-steady serve-churn mc-noisy
+PERFBENCH_SECONDS ?= 15
+perfbench:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "==== $$w ===="; \
+		$(CARGO) run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+			--workload $$w --seed 1 --seconds $(PERFBENCH_SECONDS) --trace 0 || exit 1; \
+	done
+
+## The benchmark package's own tests (it is a separate cargo package,
+## so `cargo test` at the root never builds it).
+perfbench-test:
+	$(CARGO) test --release --manifest-path perfbench/Cargo.toml
 
 build:
 	$(CARGO) build --release

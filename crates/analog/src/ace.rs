@@ -255,22 +255,29 @@ impl AnalogComputeElement {
         driver: InputDriver,
         early_levels: Option<u16>,
     ) -> Result<MvmOutput> {
-        self.mvm_group(&[array], input, driver, early_levels)
+        let cols = self.config.crossbar.cols;
+        self.mvm_group(&[array], cols, input, driver, early_levels)
     }
 
     /// Executes a bit-sliced MVM on several arrays in lockstep (a vACore's
     /// weight slices), with the shared ADC group muxed across the active
     /// arrays' bitlines.
     ///
-    /// Returns one partial-product grid per input bit, with the arrays'
-    /// columns concatenated in `arrays` order.
+    /// Returns one partial-product grid per input bit holding the first
+    /// `live` bitline codes of each array, concatenated in `arrays` order
+    /// (`arrays.len() * live` codes). The ADC readout is still timed and
+    /// charged on every physical bitline, and the read-noise stream still
+    /// advances over every device, so cycles, energy and the codes of the
+    /// live bitlines are those of a full-width read.
     ///
     /// # Errors
     ///
-    /// Propagates index, slicing and shape errors.
+    /// Propagates index, slicing and shape errors; `live` beyond the
+    /// crossbar's column count is [`Error::InvalidConfig`].
     pub fn mvm_group(
         &mut self,
         arrays: &[usize],
+        live: usize,
         input: &[i64],
         driver: InputDriver,
         early_levels: Option<u16>,
@@ -295,11 +302,11 @@ impl AnalogComputeElement {
             self.meter.add("ace.row_periphery", row_energy);
 
             // 2. Sample the bitline currents and digitize.
-            let mut codes = Vec::with_capacity(total_bitlines);
+            let mut codes = Vec::with_capacity(live * arrays.len());
             for &a in arrays {
                 let xbar = &self.crossbars[a];
                 let unit = xbar.unit_current();
-                let currents = xbar.mvm_currents(bits, &mut rng)?;
+                let currents = xbar.mvm_live_currents(bits, live, &mut rng)?;
                 for c in currents {
                     codes.push(self.adc.quantize_units(c / unit));
                 }
@@ -432,12 +439,24 @@ mod tests {
         ace.program_matrix(1, &m1).expect("programs");
         let driver = InputDriver::new(1, false).expect("valid");
         let out = ace
-            .mvm_group(&[0, 1], &[1, 1, 1, 1], driver, None)
+            .mvm_group(&[0, 1], 4, &[1, 1, 1, 1], driver, None)
             .expect("runs");
         assert_eq!(out.partial_products.len(), 1);
         assert_eq!(out.partial_products[0].len(), 8);
         assert_eq!(&out.partial_products[0][..4], &[4, 4, 4, 4]);
         assert_eq!(&out.partial_products[0][4..], &[8, 8, 8, 8]);
+        // A live bound keeps each array's leading bitlines; the ADC still
+        // reads (and charges) every physical one.
+        let narrow = ace
+            .mvm_group(&[0, 1], 3, &[1, 1, 1, 1], driver, None)
+            .expect("runs");
+        assert_eq!(narrow.partial_products, vec![vec![4, 4, 4, 8, 8, 8]]);
+        assert_eq!(narrow.cycles, out.cycles);
+        assert_eq!(narrow.energy, out.energy);
+        assert!(matches!(
+            ace.mvm_group(&[0], 5, &[1, 1, 1, 1], driver, None),
+            Err(Error::InvalidConfig(_))
+        ));
     }
 
     #[test]
@@ -528,7 +547,7 @@ mod tests {
         ace.update_row(0, 0, &[2, 2, 2, 2]).expect("updates");
         let driver = InputDriver::new(2, false).expect("valid");
         ace.mvm(0, &[1, 2, 3, 0], driver, None).expect("runs");
-        ace.mvm_group(&[0, 1], &[1, 0, 1, 0], driver, None)
+        ace.mvm_group(&[0, 1], 2, &[1, 0, 1, 0], driver, None)
             .expect("runs");
         assert_eq!(ace.rng(), &NoiseRng::seed_from(7));
         assert_eq!(ace.saturated_writes(), 0);

@@ -309,14 +309,10 @@ impl Crossbar {
                 got_cols: values.len(),
             });
         }
-        let mut matrix = self.weights.clone();
-        if matrix.is_empty() {
-            matrix = vec![vec![0; self.config.cols]; self.config.rows];
-        }
-        matrix[row] = values.to_vec();
-        // Reprogram only the affected row's devices.
+        // Validate the whole row before touching any device, as `program`
+        // does, so a bad value cannot leave the row half rewritten.
         let max = self.config.max_magnitude();
-        for (c, &w) in values.iter().enumerate() {
+        for &w in values {
             // `unsigned_abs`, not `abs`: see `Crossbar::program`.
             if w.unsigned_abs() > max as u64 {
                 return Err(Error::WeightOutOfRange {
@@ -324,9 +320,15 @@ impl Crossbar {
                     max_magnitude: max,
                 });
             }
+        }
+        // Reprogram only the affected row's devices.
+        for (c, &w) in values.iter().enumerate() {
             self.program_cell(row, c, w, rng)?;
         }
-        self.weights = matrix;
+        if self.weights.is_empty() {
+            self.weights = vec![vec![0; self.config.cols]; self.config.rows];
+        }
+        self.weights[row] = values.to_vec();
         Ok(())
     }
 
@@ -341,28 +343,55 @@ impl Crossbar {
     ///
     /// Returns [`Error::InputLengthMismatch`] for a wrong-sized input.
     pub fn mvm_currents(&self, input: &[bool], rng: &mut NoiseRng) -> Result<Vec<f64>> {
-        if input.len() != self.config.rows {
+        self.mvm_live_currents(input, self.config.cols, rng)
+    }
+
+    /// [`Crossbar::mvm_currents`] for the first `live` bitlines only.
+    ///
+    /// With read noise on, the stream still advances by one Gaussian per
+    /// physical device — column-major, positive plane before negative,
+    /// rows ascending — so the result and the generator afterwards are
+    /// bit-identical to a full read truncated to `live` columns. Only the
+    /// driven rows of live bitlines pay the Gaussian transform; the
+    /// bitlines past `live` just advance the stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InputLengthMismatch`] for a wrong-sized input and
+    /// [`Error::InvalidConfig`] when `live` exceeds the column count.
+    pub fn mvm_live_currents(
+        &self,
+        input: &[bool],
+        live: usize,
+        rng: &mut NoiseRng,
+    ) -> Result<Vec<f64>> {
+        let rows = self.config.rows;
+        if input.len() != rows {
             return Err(Error::InputLengthMismatch {
-                expected: self.config.rows,
+                expected: rows,
                 got: input.len(),
             });
         }
-        let params = self.positive.params().clone();
+        if live > self.config.cols {
+            return Err(Error::InvalidConfig(
+                "live bitlines exceed the column count",
+            ));
+        }
+        let params = self.positive.params();
         let g_off = params.g_off;
         let scale = self.config.range_scale;
         // Deterministic fast path: with zero read noise the per-device
         // noise model is an identity that consumes no RNG, so one
-        // row-major pass per plane produces bit-identical line currents
-        // without the per-column conductance gathers.
+        // row-major pass per plane produces bit-identical line currents.
         if params.read_sigma == 0.0 {
             let pos = self
                 .positive
-                .masked_col_signals(input, g_off, scale)
+                .masked_col_signals(input, live, g_off, scale)
                 .map_err(Error::Reram)?;
             let neg = match &self.negative {
                 Some(plane) => Some(
                     plane
-                        .masked_col_signals(input, g_off, scale)
+                        .masked_col_signals(input, live, g_off, scale)
                         .map_err(Error::Reram)?,
                 ),
                 None => None,
@@ -376,14 +405,24 @@ impl Crossbar {
                 })
                 .collect());
         }
-        let mut currents = Vec::with_capacity(self.config.cols);
+        let mut noise = vec![0.0; rows];
+        let idle = vec![false; rows];
+        let mut currents = Vec::with_capacity(live);
         for c in 0..self.config.cols {
-            let pos_line = self.line_current(&self.positive, c, input, g_off, scale, rng)?;
-            let neg_line = match &self.negative {
-                Some(neg) => self.line_current(neg, c, input, g_off, scale, rng)?,
+            let driven = if c < live { input } else { &idle[..] };
+            let mut line = |plane: &ReramArray| {
+                plane
+                    .noisy_col_signal(c, driven, g_off, scale, rng, &mut noise)
+                    .map_err(Error::Reram)
+            };
+            let pos = line(&self.positive)?;
+            let neg = match &self.negative {
+                Some(plane) => line(plane)?,
                 None => 0.0,
             };
-            currents.push(pos_line - neg_line);
+            if c < live {
+                currents.push(self.apply_ir_drop(pos) - self.apply_ir_drop(neg));
+            }
         }
         Ok(currents)
     }
@@ -401,32 +440,6 @@ impl Crossbar {
             }
         }
         line
-    }
-
-    /// Accumulates one physical bitline, applying read noise per device and
-    /// the IR-drop attenuation on the accumulated line current.
-    fn line_current(
-        &self,
-        plane: &ReramArray,
-        col: usize,
-        input: &[bool],
-        g_off: f64,
-        scale: f64,
-        rng: &mut NoiseRng,
-    ) -> Result<f64> {
-        let conductances = plane.col_conductances(col, rng).map_err(Error::Reram)?;
-        let mut line = 0.0;
-        for (r, g) in conductances.iter().enumerate() {
-            if input[r] {
-                // Subtract g_off so a level-0 device contributes no signal;
-                // physical designs null this with a reference column.
-                line += (g - g_off).max(0.0) * scale;
-            }
-        }
-        // IR drop: distributed wire resistance attenuates in proportion to
-        // the accumulated current itself (quadratic loss in line units).
-        line = self.apply_ir_drop(line);
-        Ok(line)
     }
 
     /// The exact (noise-free, parasitic-free) MVM result in weight units,
@@ -682,6 +695,141 @@ mod tests {
         xbar.update_row(1, &[9, -9], &mut rng()).expect("updates");
         let exact = xbar.mvm_exact(&[true, true, true]).expect("shape ok");
         assert_eq!(exact, vec![1 + 9 + 3, 1 - 9 + 3]);
+    }
+
+    #[test]
+    fn failed_update_row_leaves_the_row_untouched() {
+        // A bad value in the last column must be caught before any device
+        // of the row is rewritten: cells, weights, RNG and MVM results all
+        // stay as they were.
+        let mut noisy_program = CrossbarConfig::evaluation(2).expect("valid");
+        noisy_program.rows = 3;
+        noisy_program.cols = 3;
+        noisy_program.device.read_sigma = 0.0;
+        for config in [CrossbarConfig::ideal(3, 3), noisy_program] {
+            let mut xbar = Crossbar::new(config).expect("valid");
+            let max = xbar.config().max_magnitude();
+            xbar.program(&[vec![0, 1, 2], vec![2, 1, 0], vec![1, 1, 1]], &mut rng())
+                .expect("programs");
+            let before = xbar.clone();
+            let input = [true, true, true];
+            let currents = xbar.mvm_currents(&input, &mut rng()).expect("reads");
+            let mut update_rng = rng();
+            let err = xbar
+                .update_row(1, &[1, 1, max + 1], &mut update_rng)
+                .unwrap_err();
+            assert!(matches!(err, Error::WeightOutOfRange { .. }));
+            assert_eq!(xbar, before, "cells or weights changed");
+            assert_eq!(xbar.weights(), before.weights());
+            assert_eq!(update_rng, rng(), "a failed update consumed noise");
+            let after = xbar.mvm_currents(&input, &mut rng()).expect("reads");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&after), bits(&currents));
+        }
+    }
+
+    /// The per-device read walk the masked bitline accumulation replaced,
+    /// kept as its differential reference: every device of every column
+    /// reads through `Cell::read_conductance` (one Gaussian each,
+    /// column-major, positive plane before negative, rows ascending), and
+    /// only then are undriven rows dropped.
+    fn reference_currents(xbar: &Crossbar, input: &[bool], rng: &mut NoiseRng) -> Vec<f64> {
+        let g_off = xbar.positive.params().g_off;
+        let scale = xbar.config.range_scale;
+        let mut line = |plane: &ReramArray, col: usize| {
+            let conductances: Vec<f64> = (0..xbar.config.rows)
+                .map(|r| {
+                    let cell = plane.cell(r, col).expect("in range");
+                    cell.read_conductance(plane.params(), rng)
+                })
+                .collect();
+            let mut line = 0.0;
+            for (r, g) in conductances.iter().enumerate() {
+                if input[r] {
+                    line += (g - g_off).max(0.0) * scale;
+                }
+            }
+            xbar.apply_ir_drop(line)
+        };
+        (0..xbar.config.cols)
+            .map(|c| {
+                let pos = line(&xbar.positive, c);
+                let neg = xbar.negative.as_ref().map_or(0.0, |plane| line(plane, c));
+                pos - neg
+            })
+            .collect()
+    }
+
+    #[test]
+    fn masked_noisy_read_matches_the_per_device_reference() {
+        let mut case = NoiseRng::seed_from(0x5EED);
+        for representation in [
+            Representation::DifferentialPair,
+            Representation::OffsetSubtraction,
+        ] {
+            for bits in 1..=4u8 {
+                // Odd row counts make Box–Muller pairs straddle columns
+                // and planes.
+                for (rows, cols) in [(1, 3), (3, 2), (7, 5), (13, 4), (64, 10)] {
+                    let mut config = CrossbarConfig::evaluation(bits).expect("valid");
+                    config.rows = rows;
+                    config.cols = cols;
+                    config.representation = representation;
+                    config.device.read_sigma = 0.02;
+                    assert!(config.ir_drop_alpha > 0.0);
+                    let mut xbar = Crossbar::new(config).expect("valid");
+                    let max = xbar.config().max_magnitude();
+                    let matrix: Vec<Vec<i64>> = (0..rows)
+                        .map(|_| {
+                            (0..cols)
+                                .map(|_| case.index(2 * max as usize + 1) as i64 - max)
+                                .collect()
+                        })
+                        .collect();
+                    xbar.program(&matrix, &mut case).expect("programs");
+                    let input: Vec<bool> = (0..rows).map(|_| case.chance(0.4)).collect();
+                    for live in 0..=cols {
+                        // Odd warmups enter with a cached Box–Muller spare.
+                        let mut masked = case.fork();
+                        for _ in 0..live % 2 {
+                            masked.gaussian(0.0, 1.0);
+                        }
+                        let mut reference = masked.clone();
+                        let got = xbar
+                            .mvm_live_currents(&input, live, &mut masked)
+                            .expect("reads");
+                        let want = reference_currents(&xbar, &input, &mut reference);
+                        assert_eq!(got.len(), live);
+                        for (c, (g, w)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                g.to_bits(),
+                                w.to_bits(),
+                                "{representation:?} {bits}b {rows}x{cols} live {live} col {c}"
+                            );
+                        }
+                        assert_eq!(masked, reference, "stream diverged");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn live_bound_is_checked_and_honoured_without_noise() {
+        let mut xbar = ideal_xbar(2, 3, 4);
+        xbar.program(&[vec![1, 2, 3], vec![4, 5, 6]], &mut rng())
+            .expect("programs");
+        let full = xbar.mvm_currents(&[true, true], &mut rng()).expect("reads");
+        let mut untouched = rng();
+        let two = xbar
+            .mvm_live_currents(&[true, true], 2, &mut untouched)
+            .expect("reads");
+        assert_eq!(two, full[..2]);
+        assert_eq!(untouched, rng(), "the noise-free read drew noise");
+        assert!(matches!(
+            xbar.mvm_live_currents(&[true, true], 4, &mut rng()),
+            Err(Error::InvalidConfig(_))
+        ));
     }
 
     #[test]

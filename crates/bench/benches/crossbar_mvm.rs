@@ -1,4 +1,9 @@
 //! Criterion bench: analog crossbar MVM with full non-ideality modelling.
+//!
+//! The dense case drives two thirds of a 64×64 array and reads every
+//! bitline. The tile-shaped case is what a GEMM vACore issues: 12 of 64
+//! wordlines driven and 10 live bitlines, so the masked read noise
+//! evaluates the Gaussian transform for 240 of its 8 192 draws.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use darth_analog::crossbar::{Crossbar, CrossbarConfig};
@@ -18,6 +23,15 @@ fn bench_mvm(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 xbar.mvm_currents(black_box(&input), &mut rng)
+                    .expect("runs"),
+            )
+        })
+    });
+    let tile_input: Vec<bool> = (0..64).map(|i| i < 12).collect();
+    c.bench_function("crossbar_mvm_64x64_noisy_12rows_10cols", |b| {
+        b.iter(|| {
+            black_box(
+                xbar.mvm_live_currents(black_box(&tile_input), 10, &mut rng)
                     .expect("runs"),
             )
         })

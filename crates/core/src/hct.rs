@@ -501,9 +501,9 @@ impl<P: DcePipeline> GenericTile<P> {
         padded_input[..input.len()].copy_from_slice(input);
 
         // --- Analog phase: bit-sliced MVM over the core's arrays.
-        let out = self
-            .ace
-            .mvm_group(&core.arrays, &padded_input, driver, early_levels)?;
+        let out =
+            self.ace
+                .mvm_group(&core.arrays, core.cols, &padded_input, driver, early_levels)?;
         let lsb = self.ace.adc().lsb_units();
 
         // --- Transfer phase: land each term, pre-shifted when optimized.
@@ -529,9 +529,9 @@ impl<P: DcePipeline> GenericTile<P> {
         for t in 0..terms {
             let s = t / input_bits;
             let b = t % input_bits;
-            // The grouped MVM concatenates each array's full (padded)
-            // column set, so slice `s` occupies [s*dim, s*dim + cols).
-            let codes: Vec<i64> = out.partial_products[b][s * dim..s * dim + core.cols]
+            // The grouped MVM concatenates each array's live columns, so
+            // slice `s` occupies [s*cols, (s+1)*cols).
+            let codes: Vec<i64> = out.partial_products[b][s * core.cols..(s + 1) * core.cols]
                 .iter()
                 .map(|&code| ((code as f64) * lsb).round() as i64)
                 .collect();
@@ -634,8 +634,6 @@ impl<P: DcePipeline> GenericTile<P> {
     /// Returns vACore errors for unknown ids.
     pub fn mvm_oracle(&self, id: VaCoreId, input: &[i64]) -> Result<Vec<i64>> {
         let core = self.vacores.get(id)?;
-        let xbar = self.ace.crossbar(core.arrays[0]).map_err(Error::Analog)?;
-        let _ = xbar;
         // Reconstruct from the programmed slices for full fidelity.
         let mut out = vec![0i64; core.cols];
         for (s, &array) in core.arrays.iter().enumerate() {
@@ -785,6 +783,55 @@ mod tests {
         let regs = ReductionRegs::dense(4);
         let report = t.exec_mvm(id, &[1, 1], 0, &regs, None).expect("executes");
         assert_eq!(report.result, vec![4, -2]);
+    }
+
+    #[test]
+    fn noisy_exec_mvm_lands_the_live_columns_of_a_full_width_read() {
+        // The tile reads only its vACore's live bitlines; the codes that
+        // land, the ACE stream and the ACE's ADC energy must be those of
+        // an all-columns grouped read on a clone of the same ACE.
+        let mut config = HctConfig::small_test();
+        config.noisy = true;
+        // Unshifted landing leaves each part register holding its codes.
+        config.optimized_schedule = false;
+        let mut t = HybridComputeTile::new(config).expect("valid");
+        let id = t.alloc_vacore(8, 4, 3, false).expect("allocates");
+        let matrix: Vec<Vec<i64>> = (0..5)
+            .map(|r| (0..3).map(|c| ((r * 7 + c * 13) % 256) as i64).collect())
+            .collect();
+        t.set_matrix(id, &matrix).expect("programs");
+        let core = t.vacores().get(id).expect("exists").clone();
+        assert_eq!(core.arrays.len(), 2, "two weight slices");
+        let mut reference = t.ace().clone();
+
+        let input = [5, 0, 7, 3, 6];
+        let regs = ReductionRegs::dense(core.term_count());
+        t.exec_mvm(id, &input, 0, &regs, None).expect("executes");
+
+        let dim = t.config().params.array_dim;
+        let mut padded = vec![0i64; dim];
+        padded[..input.len()].copy_from_slice(&input);
+        let driver = InputDriver::new(core.input_bits, core.input_signed).expect("valid");
+        let full = reference
+            .mvm_group(&core.arrays, dim, &padded, driver, None)
+            .expect("reads");
+        assert_eq!(t.ace().rng(), reference.rng());
+        assert_eq!(t.ace().energy_meter(), reference.energy_meter());
+
+        let lsb = reference.adc().lsb_units();
+        let input_bits = usize::from(core.input_bits);
+        let pipe = t.pipeline_mut(0).expect("pipeline 0");
+        for (term, part) in regs.parts.iter().enumerate() {
+            let (s, b) = (term / input_bits, term % input_bits);
+            let want: Vec<i64> = full.partial_products[b][s * dim..s * dim + core.cols]
+                .iter()
+                .map(|&code| ((code as f64) * lsb).round() as i64)
+                .collect();
+            let got = pipe
+                .read_signed_prefix(part.0 as usize, core.cols)
+                .expect("reads");
+            assert_eq!(got, want, "term {term}");
+        }
     }
 
     #[test]

@@ -238,50 +238,88 @@ impl ReramArray {
         Ok(())
     }
 
-    /// Realised conductances of one column, with read noise applied.
+    /// Noisy bitline accumulation of one column: the sum over rows with
+    /// `input[r]` set (ascending) of `((g + n).max(0) - g_off).max(0) *
+    /// scale`, where `g` is the cell's stored conductance and `n` its
+    /// read-noise draw, `N(0, read_sigma * g_on)`.
     ///
-    /// This is the quantity an analog bitline integrates during MVM.
+    /// The stream advances by one Gaussian per row of the column — the
+    /// draws a per-device [`Cell::read_conductance`] walk consumes, in
+    /// row order — but only driven rows pay the transform (see
+    /// [`NoiseRng::gaussians_masked`]). An all-`false` `input` therefore
+    /// just advances the stream past the column. `noise` is caller-owned
+    /// scratch of one slot per row, reused across columns.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::OutOfBounds`] for an invalid column.
-    pub fn col_conductances(&self, col: usize, rng: &mut NoiseRng) -> Result<Vec<f64>> {
+    /// Returns [`Error::OutOfBounds`] for an invalid column or when
+    /// `input` or `noise` does not hold one entry per row.
+    pub fn noisy_col_signal(
+        &self,
+        col: usize,
+        input: &[bool],
+        g_off: f64,
+        scale: f64,
+        rng: &mut NoiseRng,
+        noise: &mut [f64],
+    ) -> Result<f64> {
         self.idx(0, col)?;
-        Ok((0..self.rows)
-            .map(|r| self.cells[r * self.cols + col].read_conductance(&self.params, rng))
-            .collect())
+        if input.len() != self.rows || noise.len() != self.rows {
+            return Err(Error::OutOfBounds {
+                row: input.len().max(noise.len()),
+                col,
+                rows: self.rows,
+                cols: self.cols,
+            });
+        }
+        rng.gaussians_masked(0.0, self.params.read_sigma * self.params.g_on, input, noise);
+        let mut line = 0.0;
+        for (r, (&driven, &n)) in input.iter().zip(noise.iter()).enumerate() {
+            if driven {
+                let g = (self.cells[r * self.cols + col].conductance() + n).max(0.0);
+                // Subtract g_off so a level-0 device contributes no signal;
+                // physical designs null this with a reference column.
+                line += (g - g_off).max(0.0) * scale;
+            }
+        }
+        Ok(line)
     }
 
-    /// Noise-free bitline accumulation for every column at once: for each
-    /// column `c`, the sum over active rows (ascending, so floating-point
-    /// results are bit-identical to a per-column walk) of
-    /// `(g.max(0) - g_off).max(0) * scale`, where `g` is the cell's
-    /// realised conductance.
+    /// Noise-free bitline accumulation for the first `live` columns at
+    /// once: for each such column `c`, the sum over active rows
+    /// (ascending, so floating-point results are bit-identical to a
+    /// per-column walk) of `(g.max(0) - g_off).max(0) * scale`, where `g`
+    /// is the cell's stored conductance.
     ///
     /// This is the deterministic fast path of the analog MVM: when the
     /// device population's `read_sigma` is zero,
-    /// [`ReramArray::col_conductances`] degenerates to the stored
-    /// conductances and consumes no RNG, so this single row-major pass
-    /// computes exactly what per-column gathers would — without the
-    /// per-column `Vec` allocations and per-device noise-model calls.
+    /// [`ReramArray::noisy_col_signal`] adds exact zeros and consumes no
+    /// RNG, so this single row-major pass computes exactly what it would,
+    /// column by column.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidDimensions`] if `input` does not cover
-    /// every row.
-    pub fn masked_col_signals(&self, input: &[bool], g_off: f64, scale: f64) -> Result<Vec<f64>> {
-        if input.len() != self.rows {
+    /// every row or `live` exceeds the column count.
+    pub fn masked_col_signals(
+        &self,
+        input: &[bool],
+        live: usize,
+        g_off: f64,
+        scale: f64,
+    ) -> Result<Vec<f64>> {
+        if input.len() != self.rows || live > self.cols {
             return Err(Error::InvalidDimensions {
                 rows: input.len(),
-                cols: self.cols,
+                cols: live,
             });
         }
-        let mut sums = vec![0.0f64; self.cols];
+        let mut sums = vec![0.0f64; live];
         for (r, &active) in input.iter().enumerate() {
             if !active {
                 continue;
             }
-            let row = &self.cells[r * self.cols..r * self.cols + self.cols];
+            let row = &self.cells[r * self.cols..r * self.cols + live];
             for (sum, cell) in sums.iter_mut().zip(row) {
                 // Mirror read_conductance(sigma=0) + the bitline term
                 // exactly: (g + 0).max(0), then zero-floored signal.
@@ -402,9 +440,49 @@ mod tests {
         let mut r = rng();
         a.program_level(0, 0, 3, &mut r).expect("programs");
         a.program_level(1, 0, 0, &mut r).expect("programs");
-        let g = a.col_conductances(0, &mut r).expect("in range");
-        assert!((g[0] - p.g_on).abs() < 1e-15);
-        assert!((g[1] - p.g_off).abs() < 1e-15);
+        let g = |row| a.cell(row, 0).expect("in range").conductance();
+        assert!((g(0) - p.g_on).abs() < 1e-15);
+        assert!((g(1) - p.g_off).abs() < 1e-15);
+        // The driven-row bitline sum sees the same conductances.
+        let mut noise = [0.0; 2];
+        let line = |input: &[bool], noise: &mut [f64]| {
+            a.noisy_col_signal(0, input, 0.0, 1.0, &mut rng(), noise)
+                .expect("in range")
+        };
+        assert_eq!(line(&[true, false], &mut noise), g(0));
+        assert_eq!(line(&[true, true], &mut noise), g(0) + g(1));
+        assert_eq!(line(&[false, false], &mut noise), 0.0);
+    }
+
+    #[test]
+    fn noisy_col_signal_draws_every_row_of_the_column() {
+        // With read noise live, the column consumes one Gaussian per row
+        // whatever the mask, so an undriven column still advances the
+        // stream exactly as a driven one does.
+        let mut p = DeviceParams::mlc(2).expect("valid");
+        p.read_sigma = 0.01;
+        let a = ReramArray::new(3, 2, p.clone()).expect("valid");
+        let mut noise = [0.0; 3];
+        let mut driven = rng();
+        let mut idle = rng();
+        let mut per_call = rng();
+        a.noisy_col_signal(1, &[true, false, true], 0.0, 1.0, &mut driven, &mut noise)
+            .expect("in range");
+        let zero = a
+            .noisy_col_signal(1, &[false; 3], 0.0, 1.0, &mut idle, &mut noise)
+            .expect("in range");
+        for _ in 0..3 {
+            per_call.gaussian(0.0, p.read_sigma * p.g_on);
+        }
+        assert_eq!(zero, 0.0);
+        assert_eq!(driven, per_call);
+        assert_eq!(idle, per_call);
+        assert!(a
+            .noisy_col_signal(2, &[true; 3], 0.0, 1.0, &mut rng(), &mut noise)
+            .is_err());
+        assert!(a
+            .noisy_col_signal(0, &[true; 2], 0.0, 1.0, &mut rng(), &mut noise)
+            .is_err());
     }
 
     #[test]

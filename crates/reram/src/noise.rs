@@ -146,21 +146,101 @@ impl NoiseRng {
         self.gaussian(mu, sigma).exp()
     }
 
+    /// `need.len()` Gaussian samples, exactly as that many consecutive
+    /// [`NoiseRng::gaussian`] calls would draw them, with the transform
+    /// evaluated only where `need[i]` is set.
+    ///
+    /// `out[i]` receives the `i`-th sample (bit-identical to the
+    /// per-call value) when `need[i]`; other entries are left untouched.
+    /// The stream advances exactly as the per-call loop would: the cached
+    /// spare is consumed first, every Box–Muller pair takes the same two
+    /// uniforms (with the same rejection), and a trailing unpaired spare
+    /// is computed and cached, so afterwards the generator `==` the
+    /// per-call one. A pair with neither value needed skips `ln`/`sqrt`;
+    /// a needed value pays only its own `cos` or `sin`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `need` and `out` differ in length.
+    pub fn gaussians_masked(&mut self, mean: f64, sigma: f64, need: &[bool], out: &mut [f64]) {
+        assert_eq!(need.len(), out.len(), "one output slot per draw");
+        if sigma <= 0.0 {
+            for (o, _) in out.iter_mut().zip(need).filter(|(_, &n)| n) {
+                *o = mean;
+            }
+            return;
+        }
+        let n = need.len();
+        let mut i = 0;
+        if n > 0 {
+            if let Some(z) = self.cached_gaussian.take() {
+                if need[0] {
+                    out[0] = mean + sigma * z;
+                }
+                i = 1;
+            }
+        }
+        while i + 1 < n {
+            if need[i] || need[i + 1] {
+                let (u1, u2) = self.box_muller_uniforms();
+                let r = (-2.0 * u1.ln()).sqrt();
+                let theta = 2.0 * std::f64::consts::PI * u2;
+                if need[i] {
+                    out[i] = mean + sigma * (r * theta.cos());
+                }
+                if need[i + 1] {
+                    out[i + 1] = mean + sigma * (r * theta.sin());
+                }
+            } else {
+                self.skip_box_muller_pair();
+            }
+            i += 2;
+        }
+        if i < n {
+            // The pair's second value becomes the cached spare, as a
+            // per-call stream would leave it.
+            let z = self.standard_normal();
+            if need[i] {
+                out[i] = mean + sigma * z;
+            }
+        }
+    }
+
     fn standard_normal(&mut self) -> f64 {
         if let Some(z) = self.cached_gaussian.take() {
             return z;
         }
         // Box–Muller: two uniforms -> two independent standard normals.
+        let (u1, u2) = self.box_muller_uniforms();
+        let r = (-2.0 * u1.ln()).sqrt();
+        let theta = 2.0 * std::f64::consts::PI * u2;
+        self.cached_gaussian = Some(r * theta.sin());
+        r * theta.cos()
+    }
+
+    /// Advances past one Box–Muller pair exactly as
+    /// [`NoiseRng::box_muller_uniforms`] would, without converting to
+    /// floats: `u1 > f64::MIN_POSITIVE` holds iff the 53 bits `u1` is
+    /// built from are not all zero.
+    fn skip_box_muller_pair(&mut self) {
+        loop {
+            let bits = self.next_u64() >> 11;
+            self.next_u64();
+            if bits != 0 {
+                return;
+            }
+        }
+    }
+
+    /// The two uniforms of one Box–Muller pair, redrawing both while `u1`
+    /// is too small for `ln`.
+    fn box_muller_uniforms(&mut self) -> (f64, f64) {
         loop {
             let u1 = self.uniform();
             let u2 = self.uniform();
-            if u1 <= f64::MIN_POSITIVE {
-                continue;
+            if u1 > f64::MIN_POSITIVE {
+                return (u1, u2);
             }
-            let r = (-2.0 * u1.ln()).sqrt();
-            let theta = 2.0 * std::f64::consts::PI * u2;
-            self.cached_gaussian = Some(r * theta.sin());
-            return r * theta.cos();
         }
     }
 }

@@ -36,7 +36,7 @@ use std::time::Instant;
 use darth_pum::eval::{ExecOutput, Executor};
 use darth_pum::workers::forced_workers;
 use darth_pum::Error;
-use darth_sim::{FastExecutor, ProgramCache, ResidentProgram, SimExecutor};
+use darth_sim::{FastExecutor, PrepWork, ProgramCache, ResidentProgram, SimExecutor};
 
 use crate::class::ServeClass;
 use crate::fleet::FleetChip;
@@ -519,7 +519,9 @@ impl ServeEngine {
 /// synthetic requests of one class run **cold** (a fresh
 /// [`FastExecutor::prepare`] per request — decode, compile, tile
 /// build, then run) and **warm** (one [`ResidentProgram`], then a
-/// clone + input stub + compiled body per request), wall-clock timed.
+/// clone + input stub + compiled body per request), wall-clock timed,
+/// with each arm's construction, decode and instruction counts taken on
+/// the calling thread.
 ///
 /// Both arms must produce bit-identical outputs per request; a
 /// divergence is an error, not a report.
@@ -539,18 +541,24 @@ pub fn measure_warm_vs_cold(
     }
     let executor = FastExecutor::new();
 
+    let cold_before = PrepWork::on_this_thread();
     let cold_start = Instant::now();
     let mut cold_hashes = Vec::with_capacity(requests);
+    let mut cold_instructions = 0;
     for seed in 0..requests as u64 {
         let job = class.full_job(seed)?;
         let prepared = executor.prepare(&job)?;
         let (run, _) = executor.run_prepared(&prepared)?;
+        cold_instructions += run.instructions;
         cold_hashes.push(hash_outputs(&run.outputs));
     }
     let cold_s = cold_start.elapsed().as_secs_f64();
+    let cold_work = PrepWork::on_this_thread().since(cold_before);
 
     let resident = ResidentProgram::for_split(class.split().clone())?;
+    let warm_before = PrepWork::on_this_thread();
     let warm_start = Instant::now();
+    let mut warm_instructions = 0;
     for seed in 0..requests as u64 {
         let served = resident.serve(&class.input_program(seed)?)?;
         if hash_outputs(&served.run.outputs) != cold_hashes[seed as usize] {
@@ -559,11 +567,18 @@ pub fn measure_warm_vs_cold(
                 class.name()
             )));
         }
+        warm_instructions += served.run.instructions;
     }
     let warm_s = warm_start.elapsed().as_secs_f64();
+    let warm_work = PrepWork::on_this_thread().since(warm_before);
 
     Ok(WarmColdReport {
         requests: requests as u64,
+        cold_work,
+        warm_work,
+        cold_instructions,
+        warm_instructions,
+        setup_instructions: resident.setup_instructions(),
         cold_s,
         warm_s,
         speedup: cold_s / warm_s.max(1e-12),

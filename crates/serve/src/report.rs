@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use darth_eval::JsonValue;
-use darth_sim::CacheStats;
+use darth_sim::{CacheStats, PrepWork};
 
 /// Latency distribution over served requests, in nanoseconds of
 /// virtual (clock-derived) time.
@@ -63,10 +63,25 @@ pub struct ChipReport {
 /// Warm-vs-cold program-cache comparison: the same request stream run
 /// once with a per-request `prepare()` (decode + compile + tile build
 /// every time) and once against a single resident program.
+///
+/// The work counters are deterministic; the wall-clock figures are not.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WarmColdReport {
     /// Requests in each arm.
     pub requests: u64,
+    /// Tile constructions and program decodes the cold arm performed
+    /// (one of each per request).
+    pub cold_work: PrepWork,
+    /// Tile constructions and program decodes the warm arm performed
+    /// after its resident was built (none).
+    pub warm_work: PrepWork,
+    /// Instructions the cold arm executed: setup, input and body of every
+    /// request.
+    pub cold_instructions: u64,
+    /// Instructions the warm arm executed: input and body only.
+    pub warm_instructions: u64,
+    /// Instructions of the resident's one-time setup run.
+    pub setup_instructions: u64,
     /// Wall-clock seconds for the cold (per-request prepare) arm.
     pub cold_s: f64,
     /// Wall-clock seconds for the warm (resident program) arm.

@@ -15,7 +15,7 @@
 //! eviction and hit/miss/eviction counters ([`CacheStats`]) that the
 //! serving layer reports per chip.
 
-use crate::fast::{FastExecutor, FastMachine};
+use crate::fast::{FastExecutor, FastMachine, PrepWork};
 use darth_digital::PackedPipeline;
 use darth_pum::chip::CompiledProgram;
 use darth_pum::eval::{ExecJob, ExecRun, JobSignature, SplitJob};
@@ -65,6 +65,7 @@ impl ResidentProgram {
     pub fn for_split(split: SplitJob) -> darth_pum::Result<Self> {
         let signature = split.signature();
         let mut warmed = FastMachine::new(split.tile.clone())?;
+        PrepWork::record(0, 2);
         let setup_program = decode(&split.setup)?;
         let setup_stats = warmed.chip_mut().execute(&setup_program, &split.data)?;
         let setup_cycles = warmed.chip().tile().busy_cycles();

@@ -30,6 +30,7 @@ use darth_pum::eval::{ExecJob, ExecOutput, ExecRun, Executor, Readback};
 use darth_pum::hct::HctConfig;
 use darth_pum::params::ChipParams;
 use darth_pum::workers::forced_workers;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
@@ -41,6 +42,58 @@ use std::thread;
 /// skips tile construction, and tests pin that by watching this counter
 /// stand still.
 static CONSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static THREAD_PREP: Cell<PrepWork> = const { Cell::new(PrepWork::NONE) };
+}
+
+/// Per-request preparation work counted on the calling thread: tile
+/// constructions ([`FastMachine::new`]) and whole-program decodes (a
+/// job's program for [`FastExecutor::prepare`] and the batch path, a
+/// split job's setup and body sections for
+/// [`crate::ResidentProgram::for_split`]; the per-request input stubs a
+/// resident interprets are not programs and do not count).
+///
+/// Unlike the process-wide [`FastMachine::constructions`], these counts
+/// are private to the thread, so a test can take deltas around its own
+/// work while other tests run concurrently.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrepWork {
+    /// Tiles constructed.
+    pub constructions: u64,
+    /// Whole programs (or program sections) decoded.
+    pub program_decodes: u64,
+}
+
+impl PrepWork {
+    const NONE: PrepWork = PrepWork {
+        constructions: 0,
+        program_decodes: 0,
+    };
+
+    /// The work counted on this thread so far.
+    pub fn on_this_thread() -> PrepWork {
+        THREAD_PREP.with(Cell::get)
+    }
+
+    /// The work done between `earlier` and `self` (two readings of
+    /// [`PrepWork::on_this_thread`]).
+    pub fn since(self, earlier: PrepWork) -> PrepWork {
+        PrepWork {
+            constructions: self.constructions - earlier.constructions,
+            program_decodes: self.program_decodes - earlier.program_decodes,
+        }
+    }
+
+    pub(crate) fn record(constructions: u64, program_decodes: u64) {
+        THREAD_PREP.with(|cell| {
+            let mut work = cell.get();
+            work.constructions += constructions;
+            work.program_decodes += program_decodes;
+            cell.set(work);
+        });
+    }
+}
 
 /// A fast functional machine: the packed-pipeline twin of
 /// [`crate::SimMachine`], executing precompiled programs.
@@ -64,6 +117,7 @@ impl FastMachine {
     /// Propagates tile construction errors.
     pub fn new(tile: HctConfig) -> darth_pum::Result<Self> {
         CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
+        PrepWork::record(1, 0);
         Ok(FastMachine {
             chip: FastChip::new(ChipParams::default(), tile)?,
             histogram: BTreeMap::new(),
@@ -208,6 +262,7 @@ impl FastExecutor {
     ///
     /// Returns decode errors for malformed records.
     fn compile_job(job: &ExecJob) -> darth_pum::Result<CompiledProgram<PackedPipeline>> {
+        PrepWork::record(0, 1);
         let program = job.decoded_program()?;
         Ok(FastChip::compile(&program))
     }
@@ -433,6 +488,31 @@ mod tests {
         let (second_run, second_stats) = executor.run_prepared(&prepared).expect("runs");
         assert_eq!(first_run, second_run);
         assert_eq!(first_stats, second_stats);
+    }
+
+    #[test]
+    fn prep_work_counts_prepare_but_not_prepared_runs() {
+        let job = digital_job(4);
+        let executor = FastExecutor::new();
+        let before = PrepWork::on_this_thread();
+        let prepared = executor.prepare(&job).expect("compiles");
+        let after_prepare = PrepWork::on_this_thread();
+        assert_eq!(
+            after_prepare.since(before),
+            PrepWork {
+                constructions: 1,
+                program_decodes: 1,
+            }
+        );
+        executor.run_prepared(&prepared).expect("runs");
+        executor.run_prepared(&prepared).expect("runs");
+        assert_eq!(PrepWork::on_this_thread(), after_prepare);
+        // Another thread's work never shows on this one.
+        thread::spawn(move || FastExecutor::new().prepare(&job).map(|_| ()))
+            .join()
+            .expect("joins")
+            .expect("compiles");
+        assert_eq!(PrepWork::on_this_thread(), after_prepare);
     }
 
     #[test]

@@ -65,5 +65,5 @@ pub use cache::{CacheStats, ProgramCache, ResidentProgram, ServedRun};
 pub use diff::{
     bulk_aes_cases, standard_cases, DiffCase, DiffHarness, DiffReport, PairCaseReport, PairReport,
 };
-pub use fast::{FastExecutor, FastMachine, PreparedFastJob};
+pub use fast::{FastExecutor, FastMachine, PrepWork, PreparedFastJob};
 pub use machine::{PreparedJob, SimExecutor, SimMachine, SimStats, StatExecutor};

@@ -20,12 +20,13 @@ SIM_VERIFY_BUDGET_S ?= 600
 all: verify
 
 ## Tier-1 gate (release build + full test suite) plus the PR-1 lint
-## gates: clippy and rustfmt, both warnings-as-errors — the
-## streaming/materialized equivalence regression, the DSE smoke sweep,
-## the functional-simulator differential gate, the serving and
-## Monte-Carlo smoke suites, and the benchmark package's own tests (so
-## a crate API change cannot silently break the benchmark), explicitly.
-verify: build test lint fmt-check equivalence dse-smoke sim-verify kir-verify serve-smoke mc-smoke perfbench-test
+## gates: clippy, rustfmt and rustdoc (intra-doc links included), all
+## warnings-as-errors — the streaming/materialized equivalence
+## regression, the DSE smoke sweep, the functional-simulator
+## differential gate, the serving and Monte-Carlo smoke suites, and the
+## benchmark package's own tests (so a crate API change cannot silently
+## break the benchmark), explicitly.
+verify: build test lint fmt-check doc equivalence dse-smoke sim-verify kir-verify serve-smoke mc-smoke perfbench-test
 
 ## The golden-model differential gate: the standard registry
 ## (AES-128/192/256 on FIPS-197 vectors, integer GEMM, a conv layer)

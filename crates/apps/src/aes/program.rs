@@ -1,16 +1,12 @@
 //! AES compiled to a self-contained DARTH-PUM ISA program — via the
 //! `darth_kir` kernel-IR compiler.
 //!
-//! [`AesDarth`](crate::aes::mapping::AesDarth) executes AES on the
-//! functional tile, but the host intervenes between kernels (it unpacks
-//! MixColumns columns, decodes parities, and repacks bytes in software).
-//! This module removes the host entirely: [`AesExec`] builds an AES
-//! block encryption as a kernel IR — every round step, including the
-//! MixColumns bit unpack/parity/repack plumbing, is an IR op lowering to
-//! one real `shr`/`and`/`eload`/`mvm`/`shl`/`or` instruction — and the
-//! compiler pipeline (verify → allocate → lower) emits the encoded
-//! program. The ~500 lines of hand-scheduled emission this file used to
-//! carry are retired; the kernel is now ~80 lines of IR building.
+//! The whole encryption runs on the tile with no host step between
+//! kernels: [`AesExec`] builds an AES block encryption as a kernel IR —
+//! every round step, including the MixColumns bit unpack/parity/repack
+//! plumbing, is an IR op lowering to one real
+//! `shr`/`and`/`eload`/`mvm`/`shl`/`or` instruction — and the compiler
+//! pipeline (verify → allocate → lower) emits the encoded program.
 //!
 //! Placement notes that survive the compiler:
 //!

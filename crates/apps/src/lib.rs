@@ -6,9 +6,10 @@
 //! 1. A **golden model** — a plain-Rust reference implementation used as
 //!    the correctness oracle (AES is validated against FIPS-197 vectors;
 //!    the CNN and encoder are exact integer programs).
-//! 2. A **DARTH-PUM mapping** — the kernel-by-kernel placement of Section 5
-//!    executed *functionally* on the simulated hybrid compute tile: AES
-//!    runs bit-exactly through OSCAR pipelines and the analog MixColumns
+//! 2. A **DARTH-PUM program** (AES, the CNN convolution, GEMM and the
+//!    reduction kernel) — the Section 5 placement compiled to one
+//!    self-contained ISA job ([`darth_pum::eval::Executable`]): AES runs
+//!    bit-exactly through OSCAR pipelines and the analog MixColumns
 //!    crossbar.
 //! 3. A **workload trace** — the architecture-neutral
 //!    [`darth_pum::trace::Trace`] every cost model prices for
@@ -24,15 +25,18 @@
 //! # Example: AES through the hybrid tile
 //!
 //! ```
-//! use darth_apps::aes::golden::Aes;
-//! use darth_apps::aes::mapping::AesDarth;
+//! use darth_apps::aes::AesExec;
+//! use darth_pum::chip::DarthPumChip;
+//! use darth_pum::eval::Executable;
+//! use darth_pum::params::ChipParams;
 //!
 //! # fn main() -> Result<(), darth_apps::Error> {
-//! let key = [0u8; 16];
-//! let block = *b"darth-pum block!";
-//! let mut hybrid = AesDarth::new_128(&key)?;
-//! let golden = Aes::new_128(&key).encrypt_block(&block);
-//! assert_eq!(hybrid.encrypt_block(&block)?, golden);
+//! let exec = AesExec::aes128("doc", &[0u8; 16], *b"darth-pum block!");
+//! let job = exec.job()?;
+//! let mut chip = DarthPumChip::new(ChipParams::default(), job.tile.clone())?;
+//! chip.execute(&job.decoded_program()?, &job.data)?;
+//! let ciphertext = chip.read_output(&job.readbacks[0])?;
+//! assert_eq!(vec![ciphertext], exec.golden()?);
 //! # Ok(())
 //! # }
 //! ```
@@ -59,26 +63,7 @@ pub(crate) mod testutil {
         chip.execute(&program, &job.data).expect("executes");
         job.readbacks
             .iter()
-            .map(|rb| {
-                let pipe = chip
-                    .tile_mut()
-                    .pipeline_mut(usize::from(rb.pipe))
-                    .expect("exists");
-                let cells: Vec<i64> = (0..rb.elements)
-                    .map(|e| {
-                        if rb.signed {
-                            pipe.read_value_signed(usize::from(rb.vr), e)
-                                .expect("reads")
-                        } else {
-                            pipe.read_value(usize::from(rb.vr), e).expect("reads") as i64
-                        }
-                    })
-                    .collect();
-                ExecOutput {
-                    label: rb.label.clone(),
-                    cells,
-                }
-            })
+            .map(|rb| chip.read_output(rb).expect("reads"))
             .collect()
     }
 }

@@ -9,6 +9,7 @@
 //! [`SideChannel`], mirroring how a host would stage data into the chip's
 //! memory before launching a kernel.
 
+use crate::eval::{ExecOutput, Readback};
 use crate::front_end::FrontEnd;
 use crate::hct::{GenericTile, HctConfig};
 use crate::params::ChipParams;
@@ -135,8 +136,8 @@ impl<P: DcePipeline> CompiledProgram<P> {
 
     /// Per-mnemonic instruction counts over the executed prefix. Keys are
     /// the interned `&'static str` mnemonics from
-    /// [`Instruction::mnemonic`], so merging a run's histogram into a
-    /// machine's lifetime histogram never clones a key.
+    /// [`Instruction::mnemonic`], so copying the histogram into a run's
+    /// statistics never clones a key string.
     pub fn histogram(&self) -> &BTreeMap<&'static str, u64> {
         &self.histogram
     }
@@ -204,7 +205,7 @@ impl<P: DcePipeline> GenericChip<P> {
     /// Executes a program against the functional tile.
     ///
     /// Returns statistics; results live in the tile's pipelines and can be
-    /// read back through [`GenericChip::tile`].
+    /// read back through [`GenericChip::read_output`].
     ///
     /// # Errors
     ///
@@ -288,6 +289,32 @@ impl<P: DcePipeline> GenericChip<P> {
             instructions: program.instructions,
             analog_instructions: program.analog_instructions,
             issue_cycles,
+        })
+    }
+
+    /// Reads one output location of a finished run: the leading
+    /// `readback.elements` cells of register `readback.vr` in pipeline
+    /// `readback.pipe`, decoded as two's complement when
+    /// `readback.signed` is set.
+    ///
+    /// # Errors
+    ///
+    /// Returns pipeline/register range errors.
+    pub fn read_output(&mut self, readback: &Readback) -> Result<ExecOutput> {
+        let pipe = self.tile.pipeline_mut(usize::from(readback.pipe))?;
+        let vr = usize::from(readback.vr);
+        let cells = (0..readback.elements)
+            .map(|e| {
+                if readback.signed {
+                    pipe.read_value_signed(vr, e)
+                } else {
+                    pipe.read_value(vr, e).map(|v| v as i64)
+                }
+            })
+            .collect::<std::result::Result<_, _>>()?;
+        Ok(ExecOutput {
+            label: readback.label.clone(),
+            cells,
         })
     }
 
@@ -1057,6 +1084,32 @@ mod tests {
         let pipe = c.tile_mut().pipeline_mut(0).expect("exists");
         assert_eq!(pipe.read_value(2, 0).expect("in range"), 42);
         assert_eq!(pipe.read_value(3, 0).expect("in range"), 25 ^ 17);
+    }
+
+    #[test]
+    fn read_output_decodes_unsigned_and_signed_cells() {
+        let mut c = chip();
+        let program =
+            assemble("wimm p0 v0 0 5\nwimm p0 v0 1 3\nsub p0 v1 v1 v0\nhalt\n").expect("parses");
+        c.execute(&program, &SideChannel::new()).expect("runs");
+        let readback = |vr, signed| Readback {
+            label: "out".into(),
+            pipe: 0,
+            vr,
+            elements: 2,
+            signed,
+        };
+        let unsigned = c.read_output(&readback(0, false)).expect("reads");
+        assert_eq!(unsigned.label, "out");
+        assert_eq!(unsigned.cells, vec![5, 3]);
+        // 0 - x wraps at the pipeline depth; the signed decode recovers -x.
+        let signed = c.read_output(&readback(1, true)).expect("reads");
+        assert_eq!(signed.cells, vec![-5, -3]);
+        let raw = c.read_output(&readback(1, false)).expect("reads");
+        assert!(raw.cells.iter().all(|&v| v > 0));
+        let mut bad = readback(0, false);
+        bad.pipe = u16::MAX;
+        assert!(c.read_output(&bad).is_err());
     }
 
     #[test]

@@ -441,17 +441,7 @@ fn a_compiled_kernel_executes_end_to_end_on_the_chip() {
         let program = job.decoded_program().expect("decodes");
         let mut chip = DarthPumChip::new(ChipParams::default(), job.tile.clone()).expect("builds");
         chip.execute(&program, &job.data).expect("executes");
-        let rb = &job.readbacks[0];
-        let pipe = chip
-            .tile_mut()
-            .pipeline_mut(usize::from(rb.pipe))
-            .expect("exists");
-        (0..rb.elements)
-            .map(|e| {
-                pipe.read_value_signed(usize::from(rb.vr), e)
-                    .expect("reads")
-            })
-            .collect()
+        chip.read_output(&job.readbacks[0]).expect("reads").cells
     };
     // Default payload: [3, -2, 5] + bias 1.
     assert_eq!(run(compiled.default_input_program()), vec![4, -1, 6]);

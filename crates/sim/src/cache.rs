@@ -15,10 +15,11 @@
 //! eviction and hit/miss/eviction counters ([`CacheStats`]) that the
 //! serving layer reports per chip.
 
-use crate::fast::{FastExecutor, FastMachine, PrepWork};
+use crate::fast::PrepWork;
+use crate::machine::FastMachine;
 use darth_digital::PackedPipeline;
 use darth_pum::chip::CompiledProgram;
-use darth_pum::eval::{ExecJob, ExecRun, JobSignature, SplitJob};
+use darth_pum::eval::{ExecRun, JobSignature, SplitJob};
 use darth_reram::{Cycles, PicoJoules};
 use std::collections::BTreeMap;
 
@@ -47,7 +48,6 @@ pub struct ServedRun {
 #[derive(Debug)]
 pub struct ResidentProgram {
     split: SplitJob,
-    signature: JobSignature,
     compiled: CompiledProgram<PackedPipeline>,
     warmed: FastMachine,
     setup_cycles: Cycles,
@@ -63,7 +63,6 @@ impl ResidentProgram {
     /// Returns decode errors for malformed sections, tile construction
     /// errors, and the first setup execution error.
     pub fn for_split(split: SplitJob) -> darth_pum::Result<Self> {
-        let signature = split.signature();
         let mut warmed = FastMachine::new(split.tile.clone())?;
         PrepWork::record(0, 2);
         let setup_program = decode(&split.setup)?;
@@ -72,42 +71,11 @@ impl ResidentProgram {
         let compiled = FastMachine::compile(&decode(&split.body)?);
         Ok(ResidentProgram {
             split,
-            signature,
             compiled,
             warmed,
             setup_cycles,
             setup_instructions: setup_stats.instructions,
         })
-    }
-
-    /// Builds the resident form of a monolithic job: an empty setup and
-    /// the whole program as the body. Serving it with an empty input
-    /// replays the job exactly — the degenerate case the cache-aware
-    /// [`FastExecutor::run_cached`] entry point uses for identical
-    /// repeated jobs.
-    ///
-    /// # Errors
-    ///
-    /// As [`ResidentProgram::for_split`].
-    pub fn for_job(job: &ExecJob) -> darth_pum::Result<Self> {
-        ResidentProgram::for_split(SplitJob {
-            name: job.name.clone(),
-            tile: job.tile.clone(),
-            setup: Vec::new(),
-            body: job.program.clone(),
-            data: job.data.clone(),
-            readbacks: job.readbacks.clone(),
-        })
-    }
-
-    /// The signature this resident was built from (the cache key).
-    pub fn signature(&self) -> JobSignature {
-        self.signature
-    }
-
-    /// The split job this resident serves.
-    pub fn split(&self) -> &SplitJob {
-        &self.split
     }
 
     /// Busy cycles the one-time setup run consumed — what a cache miss
@@ -119,11 +87,6 @@ impl ResidentProgram {
     /// Instructions the one-time setup run executed.
     pub fn setup_instructions(&self) -> u64 {
         self.setup_instructions
-    }
-
-    /// The precompiled compute body.
-    pub fn compiled(&self) -> &CompiledProgram<PackedPipeline> {
-        &self.compiled
     }
 
     /// Serves one request: clones the warmed prototype, interprets the
@@ -139,32 +102,27 @@ impl ResidentProgram {
     /// error.
     pub fn serve(&self, input: &[u8]) -> darth_pum::Result<ServedRun> {
         let mut machine = self.warmed.clone();
-        let busy_before = machine.chip().tile().busy_cycles();
-        let energy_before = machine.chip().energy_meter().total();
         let input_program = decode(input)?;
-        let input_stats = machine
-            .chip_mut()
-            .execute(&input_program, &self.split.data)?;
-        let body_stats = machine.run_compiled(&self.compiled, &self.split.data)?;
-        let outputs = self
-            .split
-            .readbacks
-            .iter()
-            .map(|rb| machine.read_output(rb))
-            .collect::<darth_pum::Result<_>>()?;
-        Ok(ServedRun {
-            run: ExecRun {
-                outputs,
-                instructions: input_stats.instructions + body_stats.run.instructions,
+        // The request's cost covers its input stub, body and readback.
+        let (run, busy_cycles, energy) = machine.measured(|chip| {
+            let input_stats = chip.execute(&input_program, &self.split.data)?;
+            let body_stats = chip.run_compiled(&self.compiled, &self.split.data)?;
+            Ok(ExecRun {
+                outputs: self
+                    .split
+                    .readbacks
+                    .iter()
+                    .map(|rb| chip.read_output(rb))
+                    .collect::<darth_pum::Result<_>>()?,
+                instructions: input_stats.instructions + body_stats.instructions,
                 analog_instructions: input_stats.analog_instructions
-                    + body_stats.run.analog_instructions,
-            },
-            busy_cycles: machine
-                .chip()
-                .tile()
-                .busy_cycles()
-                .saturating_sub(busy_before),
-            energy: machine.chip().energy_meter().total() - energy_before,
+                    + body_stats.analog_instructions,
+            })
+        })?;
+        Ok(ServedRun {
+            run,
+            busy_cycles,
+            energy,
         })
     }
 }
@@ -260,34 +218,6 @@ impl ProgramCache {
         Ok(resident)
     }
 
-    /// The resident for a monolithic `job` (degenerate split — see
-    /// [`ResidentProgram::for_job`]), building on miss.
-    ///
-    /// # Errors
-    ///
-    /// As [`ProgramCache::get_or_build_split`].
-    pub fn get_or_build_job(&mut self, job: &ExecJob) -> darth_pum::Result<&ResidentProgram> {
-        let signature = job.signature();
-        if !self.entries.contains_key(&signature) {
-            let resident = ResidentProgram::for_job(job)?;
-            // A monolithic resident is keyed by the *job* signature (the
-            // degenerate split signs differently — it domain-separates
-            // sections), so insert under the lookup key explicitly.
-            self.stats.misses += 1;
-            self.evict_to(self.capacity - 1);
-            self.entries.insert(signature, (self.tick, resident));
-        } else {
-            self.stats.hits += 1;
-        }
-        self.tick += 1;
-        let (last_used, resident) = self
-            .entries
-            .get_mut(&signature)
-            .expect("entry was just inserted or found");
-        *last_used = self.tick;
-        Ok(resident)
-    }
-
     /// Evicts least-recently-used entries until at most `target` remain.
     fn evict_to(&mut self, target: usize) {
         while self.entries.len() > target {
@@ -303,66 +233,25 @@ impl ProgramCache {
     }
 }
 
-impl FastExecutor {
-    /// Cache-aware execution: identical repeated jobs (same
-    /// [`ExecJob::signature`]) reuse one resident compiled program and
-    /// warmed prototype machine from `cache` instead of re-decoding,
-    /// re-compiling and re-constructing per call.
-    ///
-    /// # Errors
-    ///
-    /// Returns resident build errors and the first execution or readback
-    /// error.
-    pub fn run_cached(
-        &self,
-        job: &ExecJob,
-        cache: &mut ProgramCache,
-    ) -> darth_pum::Result<ServedRun> {
-        cache.get_or_build_job(job)?.serve(&[])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::SimExecutor;
-    use crate::machine::StatExecutor;
+    use crate::fast::FastExecutor;
+    use crate::machine::{SimExecutor, StatExecutor};
     use darth_isa::asm::assemble;
     use darth_isa::encode::encode_program;
     use darth_pum::chip::SideChannel;
     use darth_pum::eval::Readback;
     use darth_pum::hct::HctConfig;
 
-    fn digital_job(value: u64) -> ExecJob {
-        let program = assemble(&format!(
-            "wimm p0 v0 0 {value}\n\
-             wimm p0 v1 0 17\n\
-             add p0 v2 v0 v1\n\
-             halt\n"
-        ))
-        .expect("parses");
-        ExecJob {
-            name: format!("digital-{value}"),
-            tile: HctConfig::small_test(),
-            program: encode_program(&program),
-            data: SideChannel::new(),
-            readbacks: vec![Readback {
-                label: "sum".into(),
-                pipe: 0,
-                vr: 2,
-                elements: 1,
-                signed: false,
-            }],
-        }
-    }
-
-    /// A hand-built split: constant 17 staged in setup, per-request
-    /// value via the input section, sum computed by the resident body.
-    fn digital_split() -> SplitJob {
-        let setup = assemble("wimm p0 v1 0 17\n").expect("parses");
+    /// A hand-built split: `constant` staged in setup, per-request value
+    /// via the input section, sum computed by the resident body. Distinct
+    /// constants give distinct signatures.
+    fn digital_split(constant: u64) -> SplitJob {
+        let setup = assemble(&format!("wimm p0 v1 0 {constant}\n")).expect("parses");
         let body = assemble("add p0 v2 v0 v1\nhalt\n").expect("parses");
         SplitJob {
-            name: "digital-split".into(),
+            name: format!("digital-split-{constant}"),
             tile: HctConfig::small_test(),
             setup: encode_program(&setup),
             body: encode_program(&body),
@@ -383,7 +272,7 @@ mod tests {
 
     #[test]
     fn resident_split_serves_bit_exact_against_the_reference() {
-        let split = digital_split();
+        let split = digital_split(17);
         let resident = ResidentProgram::for_split(split.clone()).expect("builds");
         let reference = SimExecutor::new();
         for value in [0u64, 1, 9, 25, 63] {
@@ -410,39 +299,58 @@ mod tests {
     }
 
     #[test]
-    fn run_cached_matches_uncached_and_counts_hits() {
-        let executor = FastExecutor::new();
+    fn cached_serves_match_uncached_runs_and_count_hits() {
+        let split = digital_split(25);
+        let input = input_for(4);
+        let (plain, _) = FastExecutor::new()
+            .execute_with_stats(&split.full_job(&input))
+            .expect("runs");
         let mut cache = ProgramCache::new(4);
-        let job = digital_job(25);
-        let (plain, _) = executor.execute_with_stats(&job).expect("runs");
-        let first = executor.run_cached(&job, &mut cache).expect("serves");
-        let second = executor.run_cached(&job, &mut cache).expect("serves");
-        assert_eq!(first.run, plain);
+        let resident = cache.get_or_build_split(&split).expect("builds");
+        let first = resident.serve(&input).expect("serves");
+        // The monolithic run also executes the setup the resident paid
+        // once at build time; everything else is identical.
+        let expected = ExecRun {
+            instructions: plain.instructions - resident.setup_instructions(),
+            ..plain
+        };
+        assert_eq!(first.run, expected);
+        let second = cache
+            .get_or_build_split(&split)
+            .expect("hits")
+            .serve(&input)
+            .expect("serves");
         assert_eq!(first, second);
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.len(), 1);
     }
 
+    /// Serves one request of `split` through `cache`.
+    fn serve_via(cache: &mut ProgramCache, split: &SplitJob) {
+        cache
+            .get_or_build_split(split)
+            .expect("builds")
+            .serve(&input_for(5))
+            .expect("serves");
+    }
+
     #[test]
     fn lru_evicts_the_least_recently_used_resident() {
-        let executor = FastExecutor::new();
         let mut cache = ProgramCache::new(2);
-        let a = digital_job(1);
-        let b = digital_job(2);
-        let c = digital_job(3);
-        executor.run_cached(&a, &mut cache).expect("serves");
-        executor.run_cached(&b, &mut cache).expect("serves");
+        let [a, b, c] = [1, 2, 3].map(digital_split);
+        serve_via(&mut cache, &a);
+        serve_via(&mut cache, &b);
         // Touch `a` so `b` is the LRU, then overflow with `c`.
-        executor.run_cached(&a, &mut cache).expect("serves");
-        executor.run_cached(&c, &mut cache).expect("serves");
+        serve_via(&mut cache, &a);
+        serve_via(&mut cache, &c);
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.len(), 2);
         // `a` and `c` are warm; `b` was evicted and must rebuild.
-        executor.run_cached(&a, &mut cache).expect("serves");
-        executor.run_cached(&c, &mut cache).expect("serves");
+        serve_via(&mut cache, &a);
+        serve_via(&mut cache, &c);
         assert_eq!(cache.stats().misses, 3);
-        executor.run_cached(&b, &mut cache).expect("serves");
+        serve_via(&mut cache, &b);
         assert_eq!(cache.stats().misses, 4);
         assert!(cache.stats().hit_rate() > 0.0);
     }
@@ -450,7 +358,7 @@ mod tests {
     #[test]
     fn cache_capacity_has_a_floor_of_one() {
         let mut cache = ProgramCache::new(0);
-        let split = digital_split();
+        let split = digital_split(17);
         cache.get_or_build_split(&split).expect("builds");
         assert_eq!(cache.len(), 1);
         // A second lookup of the same split hits.

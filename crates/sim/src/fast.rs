@@ -4,9 +4,9 @@
 //! Three independent speedups compose here, every one pinned to the
 //! reference interpreter by the differential suite:
 //!
-//! 1. **Packed bit-planes** — [`FastMachine`] instantiates a
-//!    [`darth_pum::chip::FastChip`], whose DCE pipelines store each
-//!    bit-plane column as `u64` words
+//! 1. **Packed bit-planes** — [`FastMachine`] is the generic
+//!    [`crate::Machine`] over a [`darth_pum::chip::FastChip`], whose DCE
+//!    pipelines store each bit-plane column as `u64` words
 //!    ([`darth_digital::PackedPipeline`]), so a gate program evaluates 64
 //!    cells per bitwise op instead of one.
 //! 2. **Precompiled dispatch** — jobs compile once into a
@@ -22,26 +22,14 @@
 //!    ([`darth_pum::workers::forced_workers`]), else one worker per
 //!    available core. Results are bit-identical at any worker count.
 
-use crate::machine::{read_chip_output, SimStats, StatExecutor};
+use crate::machine::{FastMachine, SimStats, StatExecutor};
 use darth_digital::PackedPipeline;
-use darth_isa::instruction::Program;
-use darth_pum::chip::{CompiledProgram, FastChip, SideChannel};
-use darth_pum::eval::{ExecJob, ExecOutput, ExecRun, Executor, Readback};
+use darth_pum::chip::CompiledProgram;
+use darth_pum::eval::{ExecJob, ExecRun, Executor};
 use darth_pum::hct::HctConfig;
-use darth_pum::params::ChipParams;
 use darth_pum::workers::forced_workers;
 use std::cell::Cell;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
-
-/// Process-wide count of [`FastMachine::new`] tile constructions.
-///
-/// Clones are deliberately *not* counted: the whole point of the
-/// prototype caches is that stamping a machine out of a warm prototype
-/// skips tile construction, and tests pin that by watching this counter
-/// stand still.
-static CONSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THREAD_PREP: Cell<PrepWork> = const { Cell::new(PrepWork::NONE) };
@@ -95,103 +83,6 @@ impl PrepWork {
     }
 }
 
-/// A fast functional machine: the packed-pipeline twin of
-/// [`crate::SimMachine`], executing precompiled programs.
-///
-/// `Clone` copies the full machine state; a clone of a freshly built
-/// machine is indistinguishable from calling [`FastMachine::new`] again
-/// with the same config (construction is deterministic, RNG seed
-/// included), which is what lets the batch executor stamp out per-job
-/// machines from a prototype instead of rebuilding the tile each time.
-#[derive(Debug, Clone)]
-pub struct FastMachine {
-    chip: FastChip,
-    histogram: BTreeMap<&'static str, u64>,
-}
-
-impl FastMachine {
-    /// Builds a machine around one functional tile.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tile construction errors.
-    pub fn new(tile: HctConfig) -> darth_pum::Result<Self> {
-        CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
-        PrepWork::record(1, 0);
-        Ok(FastMachine {
-            chip: FastChip::new(ChipParams::default(), tile)?,
-            histogram: BTreeMap::new(),
-        })
-    }
-
-    /// Process-wide count of tile constructions via [`FastMachine::new`].
-    /// Clones of an existing machine do **not** count — that is the
-    /// invariant the prototype caches exist to exploit, and what
-    /// construction-count regression tests pin.
-    pub fn constructions() -> u64 {
-        CONSTRUCTIONS.load(Ordering::Relaxed)
-    }
-
-    /// The underlying chip (state inspection).
-    pub fn chip(&self) -> &FastChip {
-        &self.chip
-    }
-
-    /// Mutable chip access (host staging between runs).
-    pub fn chip_mut(&mut self) -> &mut FastChip {
-        &mut self.chip
-    }
-
-    /// Precompiles a decoded program into the fast chip's jump table.
-    pub fn compile(program: &Program) -> CompiledProgram<PackedPipeline> {
-        FastChip::compile(program)
-    }
-
-    /// Executes a precompiled program, reporting the same per-run
-    /// statistics as [`crate::SimMachine::run`] — the executed prefix's
-    /// mnemonic histogram is precomputed by the compiler, so a run only
-    /// clones it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first execution error.
-    pub fn run_compiled(
-        &mut self,
-        program: &CompiledProgram<PackedPipeline>,
-        data: &SideChannel,
-    ) -> darth_pum::Result<SimStats> {
-        let busy_before = self.chip.tile().busy_cycles();
-        let energy_before = self.chip.energy_meter().total();
-        let run = self.chip.run_compiled(program, data)?;
-        // Interned `&'static str` keys: merging into the lifetime
-        // histogram is entry-API on `Copy` keys — no per-run key clones.
-        let histogram = program.histogram().clone();
-        for (&mnemonic, count) in &histogram {
-            *self.histogram.entry(mnemonic).or_insert(0) += count;
-        }
-        Ok(SimStats {
-            run,
-            histogram,
-            busy_cycles: self.chip.tile().busy_cycles().saturating_sub(busy_before),
-            energy: self.chip.energy_meter().total() - energy_before,
-        })
-    }
-
-    /// Executed instructions by mnemonic, across all runs so far.
-    pub fn histogram(&self) -> &BTreeMap<&'static str, u64> {
-        &self.histogram
-    }
-
-    /// Reads one output location from the finished machine.
-    ///
-    /// # Errors
-    ///
-    /// Returns pipeline/register range errors.
-    pub fn read_output(&mut self, readback: &Readback) -> darth_pum::Result<ExecOutput> {
-        read_chip_output(&mut self.chip, readback)
-    }
-}
-
 /// An [`ExecJob`] decoded, precompiled **and** tile-constructed exactly
 /// once by [`FastExecutor::prepare`]; reusable across runs.
 ///
@@ -205,18 +96,6 @@ pub struct PreparedFastJob<'j> {
     job: &'j ExecJob,
     compiled: CompiledProgram<PackedPipeline>,
     prototype: FastMachine,
-}
-
-impl PreparedFastJob<'_> {
-    /// The compiled jump table.
-    pub fn compiled(&self) -> &CompiledProgram<PackedPipeline> {
-        &self.compiled
-    }
-
-    /// The never-run prototype machine runs are cloned from.
-    pub fn prototype(&self) -> &FastMachine {
-        &self.prototype
-    }
 }
 
 /// The fast-path [`Executor`]: packed pipelines, precompiled dispatch,
@@ -264,7 +143,7 @@ impl FastExecutor {
     fn compile_job(job: &ExecJob) -> darth_pum::Result<CompiledProgram<PackedPipeline>> {
         PrepWork::record(0, 1);
         let program = job.decoded_program()?;
-        Ok(FastChip::compile(&program))
+        Ok(FastMachine::compile(&program))
     }
 
     /// Decodes, precompiles and tile-constructs `job` once into a
@@ -297,45 +176,30 @@ impl FastExecutor {
         &self,
         prepared: &PreparedFastJob<'_>,
     ) -> darth_pum::Result<(ExecRun, SimStats)> {
-        Self::run_on(prepared.prototype.clone(), prepared)
+        Self::run_job(
+            &mut prepared.prototype.clone(),
+            prepared.job,
+            &prepared.compiled,
+        )
     }
 
-    /// Runs `compiled` for `job` on a fresh machine supplied by the
-    /// caller (built or cloned from a prototype — both yield identical
-    /// state).
-    fn run_on(
-        mut machine: FastMachine,
-        prepared: &PreparedFastJob<'_>,
-    ) -> darth_pum::Result<(ExecRun, SimStats)> {
-        Self::run_machine(&mut machine, prepared.job, &prepared.compiled)
-    }
-
-    /// The shared run core: executes a compiled program for `job` on
-    /// `machine` and reads the job's outputs back.
-    fn run_machine(
+    /// The shared run core: executes a compiled program for `job` on a
+    /// fresh `machine` (built, or cloned from a never-run prototype — both
+    /// yield identical state) and reads the job's outputs back.
+    fn run_job(
         machine: &mut FastMachine,
         job: &ExecJob,
         compiled: &CompiledProgram<PackedPipeline>,
     ) -> darth_pum::Result<(ExecRun, SimStats)> {
         let stats = machine.run_compiled(compiled, &job.data)?;
-        let outputs = job
-            .readbacks
-            .iter()
-            .map(|rb| machine.read_output(rb))
-            .collect::<darth_pum::Result<_>>()?;
-        Ok((
-            ExecRun {
-                outputs,
-                instructions: stats.run.instructions,
-                analog_instructions: stats.run.analog_instructions,
-            },
-            stats,
-        ))
+        machine.finish_job(job, stats)
     }
 
-    fn run_one(&self, job: &ExecJob) -> darth_pum::Result<(ExecRun, SimStats)> {
-        let prepared = self.prepare(job)?;
-        self.run_prepared(&prepared)
+    /// One job on a newly built machine: the same decode, compile and
+    /// tile construction as [`FastExecutor::prepare`], run in place.
+    fn run_one(job: &ExecJob) -> darth_pum::Result<(ExecRun, SimStats)> {
+        let compiled = Self::compile_job(job)?;
+        Self::run_job(&mut FastMachine::new(job.tile.clone())?, job, &compiled)
     }
 
     /// [`FastExecutor::run_one`] with a per-worker prototype machine:
@@ -345,7 +209,6 @@ impl FastExecutor {
     /// machine is identical to a newly built one, so results don't
     /// change.
     fn run_one_cached(
-        &self,
         job: &ExecJob,
         proto: &mut Option<(HctConfig, FastMachine)>,
     ) -> darth_pum::Result<(ExecRun, SimStats)> {
@@ -354,7 +217,7 @@ impl FastExecutor {
             *proto = Some((job.tile.clone(), FastMachine::new(job.tile.clone())?));
         }
         let mut machine = proto.as_ref().expect("prototype was just set").1.clone();
-        Self::run_machine(&mut machine, job, &compiled)
+        Self::run_job(&mut machine, job, &compiled)
     }
 
     /// Executes a batch of independent tile jobs, sharded across
@@ -379,7 +242,7 @@ impl FastExecutor {
                 scope.spawn(move || {
                     let mut proto = None;
                     for (slot, job) in out_chunk.iter_mut().zip(job_chunk) {
-                        *slot = Some(self.run_one_cached(job, &mut proto));
+                        *slot = Some(Self::run_one_cached(job, &mut proto));
                     }
                 });
             }
@@ -414,13 +277,13 @@ impl Executor for FastExecutor {
     }
 
     fn execute(&self, job: &ExecJob) -> darth_pum::Result<ExecRun> {
-        self.run_one(job).map(|(run, _)| run)
+        Self::run_one(job).map(|(run, _)| run)
     }
 }
 
 impl StatExecutor for FastExecutor {
     fn execute_with_stats(&self, job: &ExecJob) -> darth_pum::Result<(ExecRun, SimStats)> {
-        self.run_one(job)
+        Self::run_one(job)
     }
 }
 
@@ -430,6 +293,8 @@ mod tests {
     use crate::machine::SimExecutor;
     use darth_isa::asm::assemble;
     use darth_isa::encode::encode_program;
+    use darth_pum::chip::SideChannel;
+    use darth_pum::eval::Readback;
 
     fn digital_job(value: u64) -> ExecJob {
         let program = assemble(&format!(

@@ -9,9 +9,11 @@
 //! ACE/DCE array ops, shift/transpose/arbiter data movement — and proves
 //! the results correct against golden software references.
 //!
-//! * [`machine::SimMachine`] — the simulator: encoded bytes in, output
-//!   cells out, with per-mnemonic execution histograms and energy/cycle
-//!   accounting. [`machine::SimExecutor`] exposes it as the reference
+//! * [`machine::Machine`] — the simulator, generic over the DCE
+//!   pipeline: programs in (interpreted or precompiled), output cells
+//!   out, with per-run mnemonic histograms and energy/cycle accounting.
+//!   [`machine::SimMachine`] is the cell-accurate reference machine and
+//!   [`machine::SimExecutor`] exposes it as the reference
 //!   [`darth_pum::eval::Executor`] backend.
 //! * [`diff`] — the differential harness: a registry of
 //!   [`darth_pum::eval::Executable`] jobs (each paired with the priced
@@ -23,10 +25,11 @@
 //!   executors and demands bit-identical outputs **and** identical
 //!   statistics; [`diff::bulk_aes_cases`] scales the registry to
 //!   thousands of AES blocks.
-//! * [`fast`] — the fast execution path: packed `u64` bit-planes
-//!   ([`darth_digital::PackedPipeline`]), programs precompiled into
-//!   jump tables ([`darth_pum::chip::CompiledProgram`]), and batches
-//!   sharded across `std::thread::scope` workers.
+//! * [`fast`] — the fast execution path: [`machine::FastMachine`] over
+//!   packed `u64` bit-planes ([`darth_digital::PackedPipeline`]),
+//!   programs precompiled into jump tables
+//!   ([`darth_pum::chip::CompiledProgram`]), and batches sharded across
+//!   `std::thread::scope` workers.
 //!   [`fast::FastExecutor`] is proven bit-exact against
 //!   [`machine::SimExecutor`] by the pair harness.
 //! * [`cache`] — resident compiled programs for request serving:
@@ -65,5 +68,5 @@ pub use cache::{CacheStats, ProgramCache, ResidentProgram, ServedRun};
 pub use diff::{
     bulk_aes_cases, standard_cases, DiffCase, DiffHarness, DiffReport, PairCaseReport, PairReport,
 };
-pub use fast::{FastExecutor, FastMachine, PrepWork, PreparedFastJob};
-pub use machine::{PreparedJob, SimExecutor, SimMachine, SimStats, StatExecutor};
+pub use fast::{FastExecutor, PrepWork, PreparedFastJob};
+pub use machine::{FastMachine, Machine, SimExecutor, SimMachine, SimStats, StatExecutor};

@@ -1,30 +1,40 @@
-//! The functional simulator: encoded ISA streams in, output cells out.
+//! The functional simulator: ISA programs in, output cells out.
 //!
-//! [`SimMachine`] owns one [`DarthPumChip`] and drives the full §4.2
-//! execution flow from *encoded bytes*: every run decodes the 16-byte
-//! records ([`darth_isa::encode`]), dispatches digital ops to the DCE
-//! pipelines, routes analog ops through vACores, the shift units and the
-//! A/D arbiter, and lets the IIU replay each MVM's reduction — all over
-//! bit-accurate memory state. On top of the chip's own accounting the
-//! machine keeps a per-mnemonic histogram of executed instructions, so a
-//! differential run reports *what* it executed, not just how much.
+//! [`Machine`] owns one [`GenericChip`] and drives the full §4.2
+//! execution flow: digital ops dispatch to the DCE pipelines, analog ops
+//! route through vACores, the shift units and the A/D arbiter, and the
+//! IIU replays each MVM's reduction — all over bit-accurate memory
+//! state. It is generic over the DCE pipeline, so one type serves both
+//! the reference [`SimMachine`] (cell-accurate [`Pipeline`]s,
+//! interpreted) and the fast [`FastMachine`] (packed bit-planes,
+//! precompiled). On top of the chip's own accounting every run reports
+//! a per-mnemonic histogram of what it executed ([`SimStats`]).
 
-use darth_digital::DcePipeline;
+use crate::fast::PrepWork;
+use darth_digital::{DcePipeline, PackedPipeline, Pipeline};
 use darth_isa::instruction::Program;
-use darth_pum::chip::{DarthPumChip, GenericChip, RunStats, SideChannel};
+use darth_pum::chip::{CompiledProgram, GenericChip, RunStats, SideChannel};
 use darth_pum::eval::{ExecJob, ExecOutput, ExecRun, Executor, Readback};
 use darth_pum::hct::HctConfig;
 use darth_pum::params::ChipParams;
 use darth_reram::{Cycles, PicoJoules};
 use serde::{Deserialize, Serialize};
+use std::any::TypeId;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Process-wide count of [`FastMachine::new`] tile constructions.
+///
+/// Clones are deliberately *not* counted: the whole point of the
+/// prototype caches is that stamping a machine out of a warm prototype
+/// skips tile construction, and tests pin that by watching this counter
+/// stand still. Reference [`SimMachine`]s never count.
+static CONSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Statistics of **one** simulator run: every field covers exactly that
 /// run, so `histogram` values sum to `run.instructions` and
 /// `busy_cycles`/`energy` are the run's own deltas even when several
-/// programs execute on the same machine. Lifetime aggregates stay
-/// available through [`SimMachine::histogram`] and the chip's meters.
+/// programs execute on the same machine.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimStats {
     /// Chip-level run statistics (instructions, analog share, issue).
@@ -40,77 +50,101 @@ pub struct SimStats {
     pub energy: PicoJoules,
 }
 
-/// A functional DARTH-PUM machine executing encoded instruction streams.
-#[derive(Debug)]
-pub struct SimMachine {
-    chip: DarthPumChip,
-    histogram: BTreeMap<&'static str, u64>,
+/// A functional DARTH-PUM machine over DCE pipelines `P`.
+///
+/// `Clone` copies the full machine state; a clone of a freshly built
+/// machine is indistinguishable from calling [`Machine::new`] again with
+/// the same config (construction is deterministic, RNG seed included),
+/// which is what lets the fast executor and the resident-program cache
+/// stamp out per-job machines from a prototype instead of rebuilding the
+/// tile each time.
+#[derive(Debug, Clone)]
+pub struct Machine<P: DcePipeline> {
+    chip: GenericChip<P>,
 }
 
-impl SimMachine {
-    /// Builds a machine around one functional tile.
+/// The reference machine: cell-accurate pipelines, interpreted.
+pub type SimMachine = Machine<Pipeline>;
+
+/// The fast machine: packed bit-plane pipelines, precompiled dispatch.
+pub type FastMachine = Machine<PackedPipeline>;
+
+impl<P: DcePipeline + 'static> Machine<P> {
+    /// Builds a machine around one functional tile. Packed-pipeline
+    /// builds count towards [`FastMachine::constructions`] and this
+    /// thread's [`PrepWork`].
     ///
     /// # Errors
     ///
     /// Propagates tile construction errors.
     pub fn new(tile: HctConfig) -> darth_pum::Result<Self> {
-        Ok(SimMachine {
-            chip: DarthPumChip::new(ChipParams::default(), tile)?,
-            histogram: BTreeMap::new(),
+        if TypeId::of::<P>() == TypeId::of::<PackedPipeline>() {
+            CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
+            PrepWork::record(1, 0);
+        }
+        Ok(Machine {
+            chip: GenericChip::new(ChipParams::default(), tile)?,
         })
     }
+}
 
+impl<P: DcePipeline> Machine<P> {
     /// The underlying chip (state inspection).
-    pub fn chip(&self) -> &DarthPumChip {
+    pub fn chip(&self) -> &GenericChip<P> {
         &self.chip
     }
 
     /// Mutable chip access (host staging between runs).
-    pub fn chip_mut(&mut self) -> &mut DarthPumChip {
+    pub fn chip_mut(&mut self) -> &mut GenericChip<P> {
         &mut self.chip
     }
 
-    /// Decodes and executes an encoded instruction stream.
+    /// Interprets a decoded program.
     ///
     /// # Errors
     ///
-    /// Returns decode errors for malformed records and the first
-    /// execution error (bad operands, arbiter conflicts, missing
-    /// side-channel data).
-    pub fn run_encoded(&mut self, bytes: &[u8], data: &SideChannel) -> darth_pum::Result<SimStats> {
-        let program = darth_isa::encode::decode_program(bytes).map_err(darth_pum::Error::Isa)?;
-        self.run(&program, data)
-    }
-
-    /// Executes a decoded program.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first execution error.
+    /// Returns the first execution error (bad operands, arbiter
+    /// conflicts, missing side-channel data).
     pub fn run(&mut self, program: &Program, data: &SideChannel) -> darth_pum::Result<SimStats> {
-        let busy_before = self.chip.tile().busy_cycles();
-        let energy_before = self.chip.energy_meter().total();
-        let run = self.chip.execute(program, data)?;
+        let (run, busy_cycles, energy) = self.measured(|chip| chip.execute(program, data))?;
         // `execute` stops at the first Halt; count exactly the executed
         // prefix into the mnemonic histogram.
         let mut histogram = BTreeMap::new();
         for inst in program.iter().take(run.instructions as usize) {
             *histogram.entry(inst.mnemonic()).or_insert(0) += 1;
         }
-        for (&mnemonic, count) in &histogram {
-            *self.histogram.entry(mnemonic).or_insert(0) += count;
-        }
         Ok(SimStats {
             run,
             histogram,
-            busy_cycles: self.chip.tile().busy_cycles().saturating_sub(busy_before),
-            energy: self.chip.energy_meter().total() - energy_before,
+            busy_cycles,
+            energy,
         })
     }
 
-    /// Executed instructions by mnemonic, across all runs so far.
-    pub fn histogram(&self) -> &BTreeMap<&'static str, u64> {
-        &self.histogram
+    /// Precompiles a decoded program into this machine's jump table.
+    pub fn compile(program: &Program) -> CompiledProgram<P> {
+        GenericChip::compile(program)
+    }
+
+    /// Executes a precompiled program, reporting the same per-run
+    /// statistics as [`Machine::run`] — the executed prefix's mnemonic
+    /// histogram is precomputed by the compiler, so a run only clones it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first execution error.
+    pub fn run_compiled(
+        &mut self,
+        program: &CompiledProgram<P>,
+        data: &SideChannel,
+    ) -> darth_pum::Result<SimStats> {
+        let (run, busy_cycles, energy) = self.measured(|chip| chip.run_compiled(program, data))?;
+        Ok(SimStats {
+            run,
+            histogram: program.histogram().clone(),
+            busy_cycles,
+            energy,
+        })
     }
 
     /// Reads one output location from the finished machine.
@@ -119,45 +153,55 @@ impl SimMachine {
     ///
     /// Returns pipeline/register range errors.
     pub fn read_output(&mut self, readback: &Readback) -> darth_pum::Result<ExecOutput> {
-        read_chip_output(&mut self.chip, readback)
+        self.chip.read_output(readback)
+    }
+
+    /// Completes a job run: reads `job`'s outputs back and pairs them with
+    /// the run's statistics — the one result shape both executors return.
+    pub(crate) fn finish_job(
+        &mut self,
+        job: &ExecJob,
+        stats: SimStats,
+    ) -> darth_pum::Result<(ExecRun, SimStats)> {
+        let outputs = job
+            .readbacks
+            .iter()
+            .map(|rb| self.read_output(rb))
+            .collect::<darth_pum::Result<_>>()?;
+        Ok((
+            ExecRun {
+                outputs,
+                instructions: stats.run.instructions,
+                analog_instructions: stats.run.analog_instructions,
+            },
+            stats,
+        ))
+    }
+
+    /// Runs `run` on the chip, returning its result together with the
+    /// tile busy cycles and energy it added.
+    pub(crate) fn measured<T>(
+        &mut self,
+        run: impl FnOnce(&mut GenericChip<P>) -> darth_pum::Result<T>,
+    ) -> darth_pum::Result<(T, Cycles, PicoJoules)> {
+        let busy_before = self.chip.tile().busy_cycles();
+        let energy_before = self.chip.energy_meter().total();
+        let out = run(&mut self.chip)?;
+        Ok((
+            out,
+            self.chip.tile().busy_cycles().saturating_sub(busy_before),
+            self.chip.energy_meter().total() - energy_before,
+        ))
     }
 }
 
-/// Reads one output location from a finished chip — shared by the
-/// reference [`SimMachine`] and the fast [`crate::fast::FastMachine`], so
-/// both decode readbacks identically.
-pub(crate) fn read_chip_output<P: DcePipeline>(
-    chip: &mut GenericChip<P>,
-    readback: &Readback,
-) -> darth_pum::Result<ExecOutput> {
-    let pipe = chip.tile_mut().pipeline_mut(readback.pipe as usize)?;
-    let cells = (0..readback.elements)
-        .map(|e| {
-            if readback.signed {
-                pipe.read_value_signed(readback.vr as usize, e)
-            } else {
-                pipe.read_value(readback.vr as usize, e).map(|v| v as i64)
-            }
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(ExecOutput {
-        label: readback.label.clone(),
-        cells,
-    })
-}
-
-/// An [`ExecJob`] whose instruction stream was decoded exactly once by
-/// [`SimExecutor::prepare`]; reusable across runs.
-#[derive(Debug)]
-pub struct PreparedJob<'j> {
-    job: &'j ExecJob,
-    program: Program,
-}
-
-impl PreparedJob<'_> {
-    /// The decoded program.
-    pub fn program(&self) -> &Program {
-        &self.program
+impl FastMachine {
+    /// Process-wide count of tile constructions via [`FastMachine::new`].
+    /// Clones of an existing machine do **not** count — that is the
+    /// invariant the prototype caches exist to exploit, and what
+    /// construction-count regression tests pin.
+    pub fn constructions() -> u64 {
+        CONSTRUCTIONS.load(Ordering::Relaxed)
     }
 }
 
@@ -175,68 +219,15 @@ pub trait StatExecutor: Executor {
     fn execute_with_stats(&self, job: &ExecJob) -> darth_pum::Result<(ExecRun, SimStats)>;
 }
 
-/// The reference [`Executor`]: one fresh [`SimMachine`] per job.
-///
-/// Decode is hoisted out of the run path: [`SimExecutor::prepare`] turns
-/// a job into a reusable [`PreparedJob`] handle, and repeated
-/// [`SimExecutor::run_prepared`] calls re-execute it without touching the
-/// encoded bytes again. [`SimExecutor::decodes`] counts stream decodes so
-/// tests can pin that invariant.
+/// The reference [`Executor`]: decode the job, build a fresh
+/// [`SimMachine`], interpret. The fast path is checked against it.
 #[derive(Debug, Default)]
-pub struct SimExecutor {
-    decodes: AtomicU64,
-}
+pub struct SimExecutor;
 
 impl SimExecutor {
     /// A fresh executor.
     pub fn new() -> Self {
-        SimExecutor::default()
-    }
-
-    /// Instruction-stream decodes this executor has performed. Repeated
-    /// [`SimExecutor::run_prepared`] calls on one handle must not move
-    /// this counter.
-    pub fn decodes(&self) -> u64 {
-        self.decodes.load(Ordering::Relaxed)
-    }
-
-    /// Decodes `job`'s instruction stream once into a reusable handle.
-    ///
-    /// # Errors
-    ///
-    /// Returns decode errors for malformed records.
-    pub fn prepare<'j>(&self, job: &'j ExecJob) -> darth_pum::Result<PreparedJob<'j>> {
-        self.decodes.fetch_add(1, Ordering::Relaxed);
-        let program = job.decoded_program()?;
-        Ok(PreparedJob { job, program })
-    }
-
-    /// Runs a prepared job on a fresh machine — no re-decode — returning
-    /// outputs and the run's statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first execution or readback error.
-    pub fn run_prepared(
-        &self,
-        prepared: &PreparedJob<'_>,
-    ) -> darth_pum::Result<(ExecRun, SimStats)> {
-        let mut machine = SimMachine::new(prepared.job.tile.clone())?;
-        let stats = machine.run(&prepared.program, &prepared.job.data)?;
-        let outputs = prepared
-            .job
-            .readbacks
-            .iter()
-            .map(|rb| machine.read_output(rb))
-            .collect::<darth_pum::Result<_>>()?;
-        Ok((
-            ExecRun {
-                outputs,
-                instructions: stats.run.instructions,
-                analog_instructions: stats.run.analog_instructions,
-            },
-            stats,
-        ))
+        SimExecutor
     }
 }
 
@@ -250,15 +241,16 @@ impl Executor for SimExecutor {
     }
 
     fn execute(&self, job: &ExecJob) -> darth_pum::Result<ExecRun> {
-        let prepared = self.prepare(job)?;
-        self.run_prepared(&prepared).map(|(run, _)| run)
+        self.execute_with_stats(job).map(|(run, _)| run)
     }
 }
 
 impl StatExecutor for SimExecutor {
     fn execute_with_stats(&self, job: &ExecJob) -> darth_pum::Result<(ExecRun, SimStats)> {
-        let prepared = self.prepare(job)?;
-        self.run_prepared(&prepared)
+        let program = job.decoded_program()?;
+        let mut machine = SimMachine::new(job.tile.clone())?;
+        let stats = machine.run(&program, &job.data)?;
+        machine.finish_job(job, stats)
     }
 }
 
@@ -266,7 +258,6 @@ impl StatExecutor for SimExecutor {
 mod tests {
     use super::*;
     use darth_isa::asm::assemble;
-    use darth_isa::encode::encode_program;
 
     fn machine() -> SimMachine {
         SimMachine::new(HctConfig::small_test()).expect("builds")
@@ -274,17 +265,18 @@ mod tests {
 
     #[test]
     fn runs_an_encoded_digital_program() {
-        let program = assemble(
-            "wimm p0 v0 0 25\n\
+        let encoded = darth_isa::encode::encode_program(
+            &assemble(
+                "wimm p0 v0 0 25\n\
              wimm p0 v1 0 17\n\
              add p0 v2 v0 v1\n\
              halt\n",
-        )
-        .expect("assembles");
+            )
+            .expect("assembles"),
+        );
+        let program = darth_isa::encode::decode_program(&encoded).expect("decodes");
         let mut m = machine();
-        let stats = m
-            .run_encoded(&encode_program(&program), &SideChannel::new())
-            .expect("runs");
+        let stats = m.run(&program, &SideChannel::new()).expect("runs");
         assert_eq!(stats.run.instructions, 4);
         assert_eq!(stats.histogram.get("wimm"), Some(&2));
         assert_eq!(stats.histogram.get("add"), Some(&1));
@@ -308,46 +300,55 @@ mod tests {
             assemble("wimm p0 v0 0 1\nwimm p0 v1 0 2\nadd p0 v2 v0 v1\nhalt\n").expect("assembles");
         let second = assemble("xor p0 v3 v0 v1\nhalt\n").expect("assembles");
         let mut m = machine();
-        let s1 = m
-            .run_encoded(&encode_program(&first), &SideChannel::new())
-            .expect("runs");
-        let s2 = m
-            .run_encoded(&encode_program(&second), &SideChannel::new())
-            .expect("runs");
+        let s1 = m.run(&first, &SideChannel::new()).expect("runs");
+        let s2 = m.run(&second, &SideChannel::new()).expect("runs");
         // Each report covers exactly its own run…
         assert_eq!(s2.run.instructions, 2);
         assert_eq!(s2.histogram.values().sum::<u64>(), s2.run.instructions);
         assert!(!s2.histogram.contains_key("wimm"));
         assert!(s2.energy > PicoJoules::ZERO);
         assert!(s1.energy > PicoJoules::ZERO);
-        // …while the machine keeps the lifetime aggregate.
+        // …while the chip's meters keep the lifetime aggregate.
         assert_eq!(
-            m.histogram().values().sum::<u64>(),
-            s1.run.instructions + s2.run.instructions
+            m.chip().tile().busy_cycles(),
+            s1.busy_cycles + s2.busy_cycles
+        );
+        assert_eq!(
+            m.chip().front_end().issued(),
+            s1.run.issue_cycles + s2.run.issue_cycles
         );
     }
 
     #[test]
     fn histogram_counts_only_the_executed_prefix() {
         let program = assemble("nop\nhalt\nwimm p0 v0 0 9\n").expect("assembles");
-        let mut m = machine();
-        let stats = m
-            .run_encoded(&encode_program(&program), &SideChannel::new())
-            .expect("runs");
+        let stats = machine().run(&program, &SideChannel::new()).expect("runs");
         assert_eq!(stats.run.instructions, 2);
         assert!(!stats.histogram.contains_key("wimm"));
     }
 
     #[test]
-    fn malformed_records_are_decode_errors() {
-        let mut m = machine();
-        let err = m
-            .run_encoded(&[0xEEu8; 16], &SideChannel::new())
-            .unwrap_err();
-        assert!(matches!(err, darth_pum::Error::Isa(_)));
-        // Trailing partial record is rejected too.
-        let err = m.run_encoded(&[0u8; 17], &SideChannel::new()).unwrap_err();
-        assert!(matches!(err, darth_pum::Error::Isa(_)));
+    fn interpreted_and_compiled_runs_report_identical_stats() {
+        let program = assemble("wimm p0 v0 0 7\nwimm p0 v1 0 5\nsub p0 v2 v0 v1\nhalt\nnop\n")
+            .expect("parses");
+        let mut interpreted = machine();
+        let mut compiled = machine();
+        let a = interpreted
+            .run(&program, &SideChannel::new())
+            .expect("runs");
+        let b = compiled
+            .run_compiled(&SimMachine::compile(&program), &SideChannel::new())
+            .expect("runs");
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn reference_machines_do_not_count_as_fast_constructions() {
+        let before = PrepWork::on_this_thread();
+        machine();
+        assert_eq!(PrepWork::on_this_thread(), before);
+        FastMachine::new(HctConfig::small_test()).expect("builds");
+        assert_eq!(PrepWork::on_this_thread().since(before).constructions, 1);
     }
 
     #[test]
@@ -368,7 +369,7 @@ mod tests {
         let job = ExecJob {
             name: "figure9".into(),
             tile: HctConfig::small_test(),
-            program: encode_program(&program),
+            program: darth_isa::encode::encode_program(&program),
             data,
             readbacks: vec![Readback {
                 label: "result".into(),
@@ -382,41 +383,5 @@ mod tests {
         assert_eq!(run.outputs[0].cells, vec![66, 67]);
         assert_eq!(run.analog_instructions, 2);
         assert_eq!(run.instructions, 6);
-    }
-
-    #[test]
-    fn prepared_jobs_decode_once_and_rerun_identically() {
-        let program =
-            assemble("wimm p0 v0 0 25\nwimm p0 v1 0 17\nadd p0 v2 v0 v1\nhalt\n").expect("parses");
-        let job = ExecJob {
-            name: "repeat".into(),
-            tile: HctConfig::small_test(),
-            program: encode_program(&program),
-            data: SideChannel::new(),
-            readbacks: vec![Readback {
-                label: "sum".into(),
-                pipe: 0,
-                vr: 2,
-                elements: 1,
-                signed: false,
-            }],
-        };
-        let executor = SimExecutor::new();
-        let prepared = executor.prepare(&job).expect("decodes");
-        assert_eq!(executor.decodes(), 1);
-        let (first_run, first_stats) = executor.run_prepared(&prepared).expect("runs");
-        let (second_run, second_stats) = executor.run_prepared(&prepared).expect("runs");
-        let (third_run, third_stats) = executor.run_prepared(&prepared).expect("runs");
-        // Repeated runs of one prepared job: identical outputs and stats…
-        assert_eq!(first_run, second_run);
-        assert_eq!(first_run, third_run);
-        assert_eq!(first_stats, second_stats);
-        assert_eq!(first_stats, third_stats);
-        assert_eq!(first_run.outputs[0].cells, vec![42]);
-        // …and not one further decode of the instruction stream.
-        assert_eq!(executor.decodes(), 1);
-        // The convenience path still decodes (once per call).
-        executor.execute(&job).expect("runs");
-        assert_eq!(executor.decodes(), 2);
     }
 }

@@ -12,7 +12,12 @@
 
 use darth_sim::{bulk_aes_cases, DiffHarness, FastExecutor, SimExecutor, SimStats, StatExecutor};
 
-use darth_pum::eval::{ExecJob, ExecRun, Executor};
+use darth_isa::asm::assemble;
+use darth_isa::encode::encode_program;
+use darth_pum::chip::SideChannel;
+use darth_pum::eval::{ExecJob, ExecRun, Executor, Readback};
+use darth_pum::hct::HctConfig;
+use darth_pum::Error;
 
 /// Bulk-AES block count: env override, else scaled to the build profile
 /// (the reference interpreter is the bottleneck in debug builds).
@@ -168,4 +173,65 @@ fn a_corrupted_fast_path_is_caught() {
     assert!(report.cases[0].mismatches.is_empty());
     assert!(!report.cases[0].stats_match);
     assert!(report.summary().contains("STATS DIVERGED"));
+}
+
+/// A job on the small test tile (4 pipelines, 32 registers) with raw
+/// `program` bytes and one readback of pipe 0, register 0.
+fn raw_job(name: &str, program: Vec<u8>) -> ExecJob {
+    ExecJob {
+        name: name.into(),
+        tile: HctConfig::small_test(),
+        program,
+        data: SideChannel::new(),
+        readbacks: vec![Readback {
+            label: "out".into(),
+            pipe: 0,
+            vr: 0,
+            elements: 1,
+            signed: false,
+        }],
+    }
+}
+
+fn asm(source: &str) -> Vec<u8> {
+    encode_program(&assemble(source).expect("assembles"))
+}
+
+#[test]
+fn malformed_jobs_fail_identically_on_every_executor() {
+    type Variant = fn(&Error) -> bool;
+    let cases: [(&str, Vec<u8>, Variant); 5] = [
+        ("unknown-opcode", vec![0xEE; 16], |e| {
+            matches!(e, Error::Isa(_))
+        }),
+        ("partial-record", vec![0; 17], |e| {
+            matches!(e, Error::Isa(_))
+        }),
+        ("pipe-out-of-range", asm("wimm p9 v0 0 1\nhalt\n"), |e| {
+            matches!(e, Error::InvalidConfig(_))
+        }),
+        ("vr-out-of-range", asm("wimm p0 v200 0 1\nhalt\n"), |e| {
+            matches!(e, Error::Digital(_))
+        }),
+        (
+            "unstaged-matrix",
+            asm("valloc ac0 4 4 3 0\nprogm ac0 7\nhalt\n"),
+            |e| matches!(e, Error::UnknownMatrix(7)),
+        ),
+    ];
+    for (name, program, expected) in cases {
+        let job = raw_job(name, program);
+        let errors = [
+            SimExecutor::new().execute(&job).unwrap_err(),
+            FastExecutor::new().execute(&job).unwrap_err(),
+            FastExecutor::new()
+                .with_workers(1)
+                .execute_batch(std::slice::from_ref(&job))
+                .unwrap_err(),
+        ];
+        for err in &errors {
+            assert!(expected(err), "{name}: unexpected error {err:?}");
+            assert_eq!(err.to_string(), errors[0].to_string(), "{name}");
+        }
+    }
 }

@@ -1,45 +1,41 @@
-//! AES-128 encryption running bit-exactly on the simulated hybrid compute
-//! tile (§5.3's mapping), validated against FIPS-197 and broken down by
-//! kernel as in Figure 14.
+//! AES-128 encryption compiled to one DARTH-PUM ISA program and run
+//! bit-exactly on the functional simulator (§5.3's placement), validated
+//! against FIPS-197 and broken down by executed instruction.
 //!
 //! Run with: `cargo run --release --example aes_encrypt`
 
-use darth_apps::aes::golden::Aes;
-use darth_apps::aes::mapping::AesDarth;
+use darth_apps::aes::AesExec;
+use darth_pum::eval::Executable;
+use darth_sim::{SimExecutor, StatExecutor};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // FIPS-197 Appendix B key and plaintext.
-    let key = [
-        0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f,
-        0x3c,
-    ];
-    let plaintext = [
-        0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37, 0x07,
-        0x34,
-    ];
-
-    let mut engine = AesDarth::new_128(&key)?;
-    let ciphertext = engine.encrypt_block(&plaintext)?;
-    let golden = Aes::new_128(&key).encrypt_block(&plaintext);
+    let case = AesExec::fips197_appendix_b();
+    let (run, stats) = SimExecutor::new().execute_with_stats(&case.job()?)?;
 
     print!("hybrid ciphertext: ");
-    for b in ciphertext {
-        print!("{b:02x}");
+    for cell in &run.outputs[0].cells {
+        print!("{cell:02x}");
     }
     println!();
-    assert_eq!(ciphertext, golden, "hybrid tile must match FIPS-197");
+    assert_eq!(
+        run.outputs,
+        case.golden()?,
+        "hybrid tile must match FIPS-197"
+    );
     println!("matches FIPS-197 Appendix B ✓");
 
-    println!("\nper-kernel cycles (Figure 14's categories):");
-    let total: u64 = engine.kernel_cycles().values().map(|c| c.get()).sum();
-    for (kernel, cycles) in engine.kernel_cycles() {
+    println!(
+        "\nexecuted instructions by mnemonic ({} total, {} analog):",
+        stats.run.instructions, stats.run.analog_instructions
+    );
+    for (mnemonic, count) in &stats.histogram {
         println!(
-            "  {kernel:<14} {:>8} cycles ({:>5.1}%)",
-            cycles.get(),
-            100.0 * cycles.get() as f64 / total as f64
+            "  {mnemonic:<8} {count:>6} ({:>5.1}%)",
+            100.0 * *count as f64 / stats.run.instructions as f64
         );
     }
-    let meter = engine.tile().energy_meter();
-    println!("\nanalog-side ADC energy: {}", meter.component("ace.adc"));
+    println!("\ntile busy cycles: {}", stats.busy_cycles.get());
+    println!("tile energy:      {}", stats.energy);
     Ok(())
 }

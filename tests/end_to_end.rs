@@ -2,12 +2,19 @@
 //! chip, the runtime, and the applications.
 
 use darth_apps::aes::golden::Aes;
-use darth_apps::aes::mapping::AesDarth;
+use darth_apps::aes::AesExec;
 use darth_isa::asm::assemble;
 use darth_pum::chip::{DarthPumChip, SideChannel};
+use darth_pum::eval::{Executable, Executor};
 use darth_pum::hct::HctConfig;
 use darth_pum::params::ChipParams;
 use darth_pum::runtime::{Runtime, RuntimeConfig};
+use darth_sim::{FastExecutor, SimExecutor, StatExecutor};
+
+/// The ciphertext cells an AES job reads back, as bytes.
+fn ciphertext(cells: &[i64]) -> [u8; 16] {
+    core::array::from_fn(|i| u8::try_from(cells[i]).expect("ciphertext cells are bytes"))
+}
 
 #[test]
 fn isa_program_drives_hybrid_mvm() {
@@ -59,15 +66,21 @@ fn runtime_matches_software_mvm_over_many_shapes() {
 #[test]
 fn hybrid_aes_counter_mode_stream() {
     // Encrypt a short CTR-mode stream on the tile and verify against the
-    // golden model — exercises repeated block encryption with state reuse.
+    // golden model — one compiled job per counter block under one key.
     let key = *b"integration-key!";
-    let mut engine = AesDarth::new_128(&key).expect("engine builds");
     let golden = Aes::new_128(&key);
     let mut counter = [0u8; 16];
     for i in 0..4u8 {
         counter[15] = i;
-        let hybrid = engine.encrypt_block(&counter).expect("encrypts");
-        assert_eq!(hybrid, golden.encrypt_block(&counter), "block {i}");
+        let job = AesExec::aes128(format!("ctr-{i}"), &key, counter)
+            .job()
+            .expect("compiles");
+        let run = SimExecutor::new().execute(&job).expect("encrypts");
+        assert_eq!(
+            ciphertext(&run.outputs[0].cells),
+            golden.encrypt_block(&counter),
+            "block {i}"
+        );
     }
 }
 
@@ -90,24 +103,34 @@ fn tile_energy_flows_into_chip_meter() {
 }
 
 #[test]
-fn aes_survives_device_noise_with_compensation() {
-    // §4.3's end-to-end claim: with ±1 remapping, analog non-idealities
-    // (programming noise, read noise, IR drop) stay below one ADC LSB and
-    // AES remains bit-exact on a *noisy* tile.
-    let mut config = AesDarth::default_config();
-    config.noisy = true;
-    config.seed = 0xC0FFEE;
+fn aes_stays_bit_exact_on_noisy_tiles_with_raw_parity_weights() {
+    // The compiled AES keeps its GF(2) MixColumns matrix as raw 0/1
+    // weights in SLC cells and reads each bitline count's parity. Under
+    // the default analog non-idealities (programming noise, read noise,
+    // IR drop) the counts stay within one ADC LSB, so AES remains
+    // bit-exact on a *noisy* tile — and both executors see the same
+    // noise, output for output and statistic for statistic.
     let key = *b"noise-proof key!";
     let golden = Aes::new_128(&key);
-    let mut engine =
-        AesDarth::with_config(Aes::new_128(&key), config).expect("noisy engine builds");
-    for i in 0..3u8 {
-        let block: [u8; 16] = core::array::from_fn(|j| (j as u8).wrapping_mul(29) ^ i);
-        assert_eq!(
-            engine.encrypt_block(&block).expect("encrypts"),
-            golden.encrypt_block(&block),
-            "noisy tile must stay bit-exact (block {i})"
-        );
+    for seed in [0xC0FFEE, 1, 2] {
+        for i in 0..3u8 {
+            let block: [u8; 16] = core::array::from_fn(|j| (j as u8).wrapping_mul(29) ^ i);
+            let mut job = AesExec::aes128("noisy", &key, block)
+                .job()
+                .expect("compiles");
+            job.tile.noisy = true;
+            job.tile.seed = seed;
+            let (reference, reference_stats) =
+                SimExecutor::new().execute_with_stats(&job).expect("runs");
+            let (fast, fast_stats) = FastExecutor::new().execute_with_stats(&job).expect("runs");
+            assert_eq!(
+                ciphertext(&reference.outputs[0].cells),
+                golden.encrypt_block(&block),
+                "noisy tile must stay bit-exact (seed {seed:#x}, block {i})"
+            );
+            assert_eq!(reference, fast, "seed {seed:#x}, block {i}");
+            assert_eq!(reference_stats, fast_stats, "seed {seed:#x}, block {i}");
+        }
     }
 }
 

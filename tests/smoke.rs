@@ -65,11 +65,14 @@ fn pum_runtime_is_reachable() {
 
 #[test]
 fn apps_workloads_are_reachable() {
+    use pum::eval::Executable;
     let key = [0u8; 16];
     let block = *b"smoke-test-block";
     let golden = apps::aes::golden::Aes::new_128(&key).encrypt_block(&block);
-    let mut hybrid = apps::aes::mapping::AesDarth::new_128(&key).expect("tile builds");
-    assert_eq!(hybrid.encrypt_block(&block).expect("encrypts"), golden);
+    let exec = apps::aes::AesExec::aes128("smoke", &key, block);
+    assert_eq!(exec.job().expect("compiles").readbacks.len(), 1);
+    let expected: Vec<i64> = golden.iter().map(|&b| i64::from(b)).collect();
+    assert_eq!(exec.golden().expect("golden")[0].cells, expected);
 }
 
 #[test]

@@ -23,10 +23,11 @@ all: verify
 ## gates: clippy, rustfmt and rustdoc (intra-doc links included), all
 ## warnings-as-errors — the streaming/materialized equivalence
 ## regression, the DSE smoke sweep, the functional-simulator
-## differential gate, the serving and Monte-Carlo smoke suites, and the
-## benchmark package's own tests (so a crate API change cannot silently
-## break the benchmark), explicitly.
-verify: build test lint fmt-check doc equivalence dse-smoke sim-verify kir-verify serve-smoke mc-smoke perfbench-test
+## differential gate, the serving and Monte-Carlo smoke suites, the
+## benchmark package's own tests, and a compile check of every criterion
+## bench and example (so a crate API change cannot silently break a
+## benchmark or an example), explicitly.
+verify: build test lint fmt-check doc equivalence dse-smoke sim-verify kir-verify serve-smoke mc-smoke perfbench-test bench-check
 
 ## The golden-model differential gate: the standard registry
 ## (AES-128/192/256 on FIPS-197 vectors, integer GEMM, a conv layer)
@@ -155,7 +156,9 @@ fmt-check:
 bench:
 	$(CARGO) bench -p darth_bench
 
-## Compile benches + examples without running them.
+## Compile benches + examples without running them (part of `make
+## verify`: bench targets are `test = false`, so `cargo test` never
+## builds them).
 bench-check:
 	$(CARGO) bench -p darth_bench --no-run
 	$(CARGO) build --examples

@@ -15,6 +15,7 @@ use crate::dac::InputDriver;
 use crate::{Error, Result};
 use darth_reram::{Cycles, EnergyMeter, NoiseRng, PicoJoules};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Row-periphery power in mW (Table 3).
 const ROW_PERIPHERY_POWER_MW: f64 = 0.7;
@@ -101,10 +102,14 @@ pub struct MvmOutput {
 }
 
 /// A bank of crossbars sharing input buffers and an ADC group.
+///
+/// The arrays are copy-on-write: cloning an ACE shares its programmed
+/// crossbars (matrices stay resident, §4.1), and a write to one array of
+/// either copy copies only that array.
 #[derive(Debug, Clone)]
 pub struct AnalogComputeElement {
     config: AceConfig,
-    crossbars: Vec<Crossbar>,
+    crossbars: Vec<Arc<Crossbar>>,
     adc: Adc,
     rng: NoiseRng,
     meter: EnergyMeter,
@@ -119,7 +124,7 @@ impl AnalogComputeElement {
     pub fn new(config: AceConfig, seed: u64) -> Result<Self> {
         config.validate()?;
         let crossbars = (0..config.arrays)
-            .map(|_| Crossbar::new(config.crossbar.clone()))
+            .map(|_| Crossbar::new(config.crossbar.clone()).map(Arc::new))
             .collect::<Result<Vec<_>>>()?;
         let adc = Adc::new(config.adc_kind, config.adc_bits, config.adc_lsb_units)?;
         Ok(AnalogComputeElement {
@@ -162,7 +167,7 @@ impl AnalogComputeElement {
     /// Total conductance writes across every array that railed outside the
     /// device window and were clamped (see `Crossbar::saturated_writes`).
     pub fn saturated_writes(&self) -> u64 {
-        self.crossbars.iter().map(Crossbar::saturated_writes).sum()
+        self.crossbars.iter().map(|x| x.saturated_writes()).sum()
     }
 
     /// Whether the configured device population has any stochastic noise
@@ -191,18 +196,26 @@ impl AnalogComputeElement {
     ///
     /// Returns [`Error::InvalidArray`] for a bad index.
     pub fn crossbar(&self, array: usize) -> Result<&Crossbar> {
-        self.crossbars.get(array).ok_or(Error::InvalidArray {
-            index: array,
-            count: self.crossbars.len(),
-        })
+        self.crossbars
+            .get(array)
+            .map(Arc::as_ref)
+            .ok_or(Error::InvalidArray {
+                index: array,
+                count: self.crossbars.len(),
+            })
     }
 
+    /// Borrows one crossbar for writing, first copying it if another ACE
+    /// still shares it.
     fn crossbar_mut(&mut self, array: usize) -> Result<&mut Crossbar> {
         let count = self.crossbars.len();
-        self.crossbars.get_mut(array).ok_or(Error::InvalidArray {
-            index: array,
-            count,
-        })
+        self.crossbars
+            .get_mut(array)
+            .map(Arc::make_mut)
+            .ok_or(Error::InvalidArray {
+                index: array,
+                count,
+            })
     }
 
     /// Programs a signed matrix into one array, returning the programming
@@ -270,6 +283,11 @@ impl AnalogComputeElement {
     /// advances over every device, so cycles, energy and the codes of the
     /// live bitlines are those of a full-width read.
     ///
+    /// With a 1.0-LSB ADC, an array that [reads
+    /// exactly](Crossbar::reads_exactly) skips the `f64` conductance sum:
+    /// its codes are its integer level sums, clamped to the ADC rails —
+    /// the codes the `f64` read would round to.
+    ///
     /// # Errors
     ///
     /// Propagates index, slicing and shape errors; `live` beyond the
@@ -292,6 +310,9 @@ impl AnalogComputeElement {
         let mut rng = self.op_rng();
         let cols_per_array = self.config.crossbar.cols;
         let total_bitlines = cols_per_array * arrays.len();
+        let integer_adc = self.adc.lsb_units() == 1.0;
+        let (code_min, code_max) = (self.adc.code_min(), self.adc.code_max());
+        let mut sums = Vec::new();
         for bits in &bit_slices {
             // 1. Drive the wordlines (all active arrays share the input).
             let apply = Cycles::new(self.config.dac_apply_cycles);
@@ -305,6 +326,11 @@ impl AnalogComputeElement {
             let mut codes = Vec::with_capacity(live * arrays.len());
             for &a in arrays {
                 let xbar = &self.crossbars[a];
+                if integer_adc && xbar.reads_exactly() {
+                    xbar.mvm_live_levels(bits, live, &mut sums)?;
+                    codes.extend(sums.iter().map(|&n| i64::from(n).clamp(code_min, code_max)));
+                    continue;
+                }
                 let unit = xbar.unit_current();
                 let currents = xbar.mvm_live_currents(bits, live, &mut rng)?;
                 for c in currents {
@@ -356,7 +382,7 @@ impl AnalogComputeElement {
         let mut rng = self.rng.fork();
         self.crossbars
             .iter_mut()
-            .map(|x| x.inject_stuck_at_faults(&mut rng))
+            .map(|x| Arc::make_mut(x).inject_stuck_at_faults(&mut rng))
             .sum()
     }
 }

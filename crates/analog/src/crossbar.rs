@@ -137,6 +137,11 @@ pub struct Crossbar {
     /// The logical weights as programmed (for verification / re-slicing).
     weights: Vec<Vec<i64>>,
     programmed: bool,
+    /// Net signed device level of every cell, row-major: positive minus
+    /// negative plane, or the single plane's level under offset
+    /// subtraction. Present only while reads are provably exact (see
+    /// [`Crossbar::reads_exactly`]).
+    levels: Option<Vec<i16>>,
 }
 
 impl Crossbar {
@@ -174,6 +179,7 @@ impl Crossbar {
             negative,
             weights: Vec::new(),
             programmed: false,
+            levels: None,
         })
     }
 
@@ -234,6 +240,9 @@ impl Crossbar {
                 }
             }
         }
+        // Drop the level cache first, so a failed write cannot leave it
+        // stale.
+        self.levels = None;
         for (r, row) in matrix.iter().enumerate() {
             for (c, &w) in row.iter().enumerate() {
                 self.program_cell(r, c, w, rng)?;
@@ -241,7 +250,51 @@ impl Crossbar {
         }
         self.weights = matrix.to_vec();
         self.programmed = true;
+        if self.exact_eligible() {
+            let offset = self.config.offset();
+            self.levels = Some(
+                matrix
+                    .iter()
+                    .flatten()
+                    .map(|&w| net_level(w, offset))
+                    .collect(),
+            );
+        }
         Ok(())
+    }
+
+    /// Whether this crossbar's reads are provably exact integers: every
+    /// bitline value in weight units is `Σ_driven level` to within far
+    /// less than half a unit, so an ADC with a 1.0 LSB returns that
+    /// integer, clamped to its rails. True only after programming, with
+    /// zero programming and read noise, no stuck-at rate, no IR drop, the
+    /// full conductance range, no saturated writes, and neither
+    /// [`Crossbar::inject_stuck_at_faults`] nor [`Crossbar::drift`] since
+    /// the last [`Crossbar::program`].
+    pub fn reads_exactly(&self) -> bool {
+        self.levels.is_some()
+    }
+
+    /// The configuration and state half of [`Crossbar::reads_exactly`]:
+    /// whether the planes hold ideal conductances `g_off + Δ·L/top`.
+    ///
+    /// The `f64` read sums `rows` such terms per plane, so its error is at
+    /// most about `2·rows·(rows + 5)·ε` of `g_on`; in weight units that
+    /// must stay far below half an LSB for `round()` to return the integer
+    /// level sum. The integer sum itself must fit the `i32` accumulator.
+    fn exact_eligible(&self) -> bool {
+        let p = self.positive.params();
+        let rows = self.config.rows as f64;
+        let float_error = 2.0 * rows * (rows + 5.0) * f64::EPSILON * p.g_on / self.unit_current();
+        let max_sum = self.config.rows as u64 * ((1u64 << self.config.bits_per_cell) - 1);
+        p.program_sigma == 0.0
+            && p.read_sigma == 0.0
+            && p.stuck_at_rate == 0.0
+            && self.config.ir_drop_alpha == 0.0
+            && self.config.range_scale == 1.0
+            && self.saturated_writes() == 0
+            && float_error < 0.25
+            && max_sum <= i32::MAX as u64
     }
 
     /// The checked device level(s) for one signed weight: `(positive
@@ -321,7 +374,9 @@ impl Crossbar {
                 });
             }
         }
-        // Reprogram only the affected row's devices.
+        // Reprogram only the affected row's devices. The level cache is
+        // taken out first, as in `program`.
+        let levels = self.levels.take();
         for (c, &w) in values.iter().enumerate() {
             self.program_cell(row, c, w, rng)?;
         }
@@ -329,6 +384,13 @@ impl Crossbar {
             self.weights = vec![vec![0; self.config.cols]; self.config.rows];
         }
         self.weights[row] = values.to_vec();
+        if let (Some(mut levels), true) = (levels, self.exact_eligible()) {
+            let (cols, offset) = (self.config.cols, self.config.offset());
+            for (l, &w) in levels[row * cols..(row + 1) * cols].iter_mut().zip(values) {
+                *l = net_level(w, offset);
+            }
+            self.levels = Some(levels);
+        }
         Ok(())
     }
 
@@ -365,18 +427,8 @@ impl Crossbar {
         live: usize,
         rng: &mut NoiseRng,
     ) -> Result<Vec<f64>> {
+        self.check_read(input, live)?;
         let rows = self.config.rows;
-        if input.len() != rows {
-            return Err(Error::InputLengthMismatch {
-                expected: rows,
-                got: input.len(),
-            });
-        }
-        if live > self.config.cols {
-            return Err(Error::InvalidConfig(
-                "live bitlines exceed the column count",
-            ));
-        }
         let params = self.positive.params();
         let g_off = params.g_off;
         let scale = self.config.range_scale;
@@ -427,6 +479,56 @@ impl Crossbar {
         Ok(currents)
     }
 
+    /// The read-shape checks shared by the `f64` and integer reads.
+    fn check_read(&self, input: &[bool], live: usize) -> Result<()> {
+        if input.len() != self.config.rows {
+            return Err(Error::InputLengthMismatch {
+                expected: self.config.rows,
+                got: input.len(),
+            });
+        }
+        if live > self.config.cols {
+            return Err(Error::InvalidConfig(
+                "live bitlines exceed the column count",
+            ));
+        }
+        Ok(())
+    }
+
+    /// The integer counterpart of [`Crossbar::mvm_live_currents`] for a
+    /// crossbar that [reads exactly](Crossbar::reads_exactly): writes
+    /// `Σ_driven level[r][c]` for the first `live` bitlines into `sums`
+    /// (weight units, offset included under offset subtraction). Consumes
+    /// no noise, like the `f64` read of a noise-free crossbar.
+    ///
+    /// # Errors
+    ///
+    /// The shape errors of [`Crossbar::mvm_live_currents`], plus
+    /// [`Error::InvalidConfig`] when the crossbar does not read exactly.
+    pub(crate) fn mvm_live_levels(
+        &self,
+        input: &[bool],
+        live: usize,
+        sums: &mut Vec<i32>,
+    ) -> Result<()> {
+        self.check_read(input, live)?;
+        let levels = self
+            .levels
+            .as_deref()
+            .ok_or(Error::InvalidConfig("crossbar does not read exactly"))?;
+        let cols = self.config.cols;
+        sums.clear();
+        sums.resize(live, 0);
+        for (&on, row) in input.iter().zip(levels.chunks_exact(cols)) {
+            if on {
+                for (sum, &level) in sums.iter_mut().zip(&row[..live]) {
+                    *sum += i32::from(level);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Attenuates one accumulated line current by the distributed-wire
     /// IR-drop model (quadratic loss in line units); shared by the noisy
     /// and deterministic bitline paths so they cannot diverge.
@@ -472,6 +574,7 @@ impl Crossbar {
     /// Injects stuck-at faults into both device planes, returning the
     /// number of faulted devices.
     pub fn inject_stuck_at_faults(&mut self, rng: &mut NoiseRng) -> usize {
+        self.levels = None;
         let mut n = self.positive.inject_stuck_at_faults(rng);
         if let Some(neg) = &mut self.negative {
             n += neg.inject_stuck_at_faults(rng);
@@ -492,11 +595,19 @@ impl Crossbar {
 
     /// Applies retention drift to both planes.
     pub fn drift(&mut self, decades: f64) {
+        self.levels = None;
         self.positive.drift_all(decades);
         if let Some(neg) = &mut self.negative {
             neg.drift_all(decades);
         }
     }
+}
+
+/// The net signed device level of one in-range weight: its level under
+/// differential pairs (positive minus negative plane), its offset-shifted
+/// single-plane level under offset subtraction.
+fn net_level(w: i64, offset: i64) -> i16 {
+    i16::try_from(w + offset).expect("range-checked weights fit i16")
 }
 
 #[cfg(test)]

@@ -950,45 +950,37 @@ impl DcePipeline for PackedPipeline {
                 }
             }
         }
-        // Validate addresses up front (ascending, like the scalar loop),
-        // then gather plane-major: each element's table position becomes
-        // a (row-base, bit) pair, so a plane pass is `base + i * t_nw`.
+        // Validate addresses up front (ascending, like the scalar loop).
         let bad = addrs
             .iter()
             .enumerate()
             .find(|&(_, &a)| a >= capacity)
             .map(|(e, &a)| (e, a));
         let limit = bad.map_or(self.config.elements, |(e, _)| e);
-        let pre: Vec<(usize, u32)> = addrs[..limit]
-            .iter()
-            .map(|&a| {
-                let (tvr, trow) = (a as usize / t_elems, a as usize % t_elems);
-                (tvr * depth * t_nw + trow / 64, (trow % 64) as u32)
-            })
-            .collect();
-        let mut out = vec![0u64; depth * nw];
-        for i in 0..depth {
-            let plane_off = i * t_nw;
-            for wi in 0..nw {
-                let base = wi * 64;
-                if base >= limit {
-                    break;
+        // Gather element-major, in place: each address becomes its table
+        // value. A run of equal addresses (a zero tail, say) reads the
+        // table once.
+        let mut prev: Option<(u64, u64)> = None;
+        for slot in &mut addrs[..limit] {
+            let a = *slot;
+            *slot = match prev {
+                Some((pa, pv)) if pa == a => pv,
+                _ => {
+                    let (tvr, trow) = (a as usize / t_elems, a as usize % t_elems);
+                    let base = tvr * depth * t_nw + trow / 64;
+                    let shift = trow % 64;
+                    (0..depth).fold(0u64, |v, i| {
+                        v | (table.words[base + i * t_nw] >> shift & 1) << i
+                    })
                 }
-                let mut w = 0u64;
-                for (off, &(tbase, tbi)) in pre[base..limit.min(base + 64)].iter().enumerate() {
-                    w |= (table.words[tbase + plane_off] >> tbi & 1) << off;
-                }
-                out[i * nw + wi] = w;
-            }
+            };
+            prev = Some((a, *slot));
         }
-        if let Some((e, address)) = bad {
+        let values = &addrs[..limit];
+        if let Some((_, address)) = bad {
             // Match the scalar loop's partial-scatter semantics: elements
             // before the offending address have landed.
-            for pe in 0..e {
-                let mut v = 0u64;
-                for i in 0..depth {
-                    v |= (out[i * nw + pe / 64] >> (pe % 64) & 1) << i;
-                }
+            for (pe, &v) in values.iter().enumerate() {
                 self.scatter(dst_vr, pe, v);
             }
             return Err(Error::AddressOutOfRange {
@@ -997,9 +989,17 @@ impl DcePipeline for PackedPipeline {
             });
         }
         // Every element was loaded, so the destination register block is
-        // overwritten wholesale from the staging buffer.
+        // cleared and then set sparsely, one bit per set value bit.
         let rd = self.row(dst_vr, 0);
-        self.words[rd..rd + depth * nw].copy_from_slice(&out);
+        let block = &mut self.words[rd..rd + depth * nw];
+        block.fill(0);
+        for (e, mut v) in values.iter().copied().enumerate() {
+            let (wi, bit) = (e / 64, 1u64 << (e % 64));
+            while v != 0 {
+                block[v.trailing_zeros() as usize * nw + wi] |= bit;
+                v &= v - 1;
+            }
+        }
         self.charge(MacroOp::ElementLoad);
         Ok(())
     }
@@ -1112,6 +1112,62 @@ mod tests {
             slow.primitives_executed()
         );
         assert_eq!(DcePipeline::elapsed(&fast), slow.elapsed());
+    }
+
+    #[test]
+    fn elementwise_load_matches_reference() {
+        // 100 elements span a full and a partial word. Addresses mix
+        // runs of repeats (a zero tail among them) with distinct ones,
+        // and an out-of-range address mid-register must leave the same
+        // partially loaded destination as the scalar loop.
+        let cfg = config(16, 100);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            state >> 33
+        };
+        let mut fast_table = PackedPipeline::new(cfg).expect("builds");
+        let mut slow_table = Pipeline::new(cfg).expect("builds");
+        for vr in 0..cfg.vr_count {
+            for e in 0..cfg.elements {
+                let v = next() & 0xFFFF;
+                DcePipeline::write_value(&mut fast_table, vr, e, v).expect("writes");
+                slow_table.write_value(vr, e, v).expect("writes");
+            }
+        }
+        let capacity = (cfg.vr_count * cfg.elements) as u64;
+        for (case, bad) in [(0, None), (1, None), (2, Some(37)), (3, Some(0))] {
+            let mut fast = PackedPipeline::new(cfg).expect("builds");
+            let mut slow = Pipeline::new(cfg).expect("builds");
+            for e in 0..cfg.elements {
+                let address = match e {
+                    _ if Some(e) == bad => capacity + e as u64,
+                    0..=15 => next() % capacity,
+                    16..=30 => 5,
+                    31..=79 if case % 2 == 0 => next() % capacity,
+                    _ => 0,
+                };
+                let stale = next() & 0xFFFF;
+                for (vr, v) in [(0, address), (1, stale)] {
+                    DcePipeline::write_value(&mut fast, vr, e, v).expect("writes");
+                    slow.write_value(vr, e, v).expect("writes");
+                }
+            }
+            let dst = if case == 1 { 0 } else { 1 };
+            let got = DcePipeline::elementwise_load(&mut fast, 0, &fast_table, dst);
+            let want = slow.elementwise_load(0, &slow_table, dst);
+            assert_eq!(got, want, "case {case}");
+            for e in 0..cfg.elements {
+                assert_eq!(
+                    fast.peek_value(dst, e),
+                    slow.peek_value(dst, e),
+                    "case {case} e {e}"
+                );
+            }
+            assert_eq!(DcePipeline::elapsed(&fast), slow.elapsed(), "case {case}");
+        }
     }
 
     #[test]

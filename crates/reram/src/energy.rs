@@ -38,12 +38,16 @@ impl EnergyMeter {
         EnergyMeter::default()
     }
 
-    /// Charges `energy` against `component`.
+    /// Charges `energy` against `component`. Only a component's first
+    /// charge allocates its key.
     pub fn add(&mut self, component: &str, energy: PicoJoules) {
-        *self
-            .components
-            .entry(component.to_owned())
-            .or_insert(PicoJoules::ZERO) += energy;
+        match self.components.get_mut(component) {
+            Some(total) => *total += energy,
+            None => {
+                self.components
+                    .insert(component.to_owned(), PicoJoules::ZERO + energy);
+            }
+        }
     }
 
     /// Total energy across all components.

@@ -20,7 +20,7 @@ use crate::iiu::HardwareIiu;
 use crate::params::{power, HctParams};
 use crate::shift_unit::ShiftUnit;
 use crate::transpose::TransposeUnit;
-use crate::vacore::{VaCore, VaCoreTable};
+use crate::vacore::VaCoreTable;
 use crate::{Error, Result};
 use darth_analog::ace::{AceConfig, AnalogComputeElement};
 use darth_analog::adc::AdcKind;
@@ -429,7 +429,7 @@ impl<P: DcePipeline> GenericTile<P> {
     ///
     /// Returns shape or programming errors.
     pub fn update_row(&mut self, id: VaCoreId, row: usize, values: &[i64]) -> Result<Cycles> {
-        let core = self.vacores.get(id)?.clone();
+        let core = self.vacores.get(id)?;
         if row >= core.rows || values.len() != core.cols {
             return Err(Error::Shape(format!(
                 "row {row} of length {} does not fit matrix {}x{}",
@@ -468,7 +468,7 @@ impl<P: DcePipeline> GenericTile<P> {
         regs: &ReductionRegs,
         early_levels: Option<u16>,
     ) -> Result<MvmReport> {
-        let core = self.vacores.get(id)?.clone();
+        let core = self.vacores.get(id)?;
         if core.rows == 0 {
             return Err(Error::VaCore(format!("vACore {id} has no matrix")));
         }
@@ -482,19 +482,23 @@ impl<P: DcePipeline> GenericTile<P> {
         // The MVM occupies the landing pipeline exclusively (the paper's
         // pipeline-reserve + arbiter protocol).
         self.arbiter.acquire(dst_pipe, Domain::Analog)?;
-        let report = self.exec_mvm_inner(&core, input, dst_pipe, regs, early_levels);
+        let report = self.exec_mvm_inner(id, input, dst_pipe, regs, early_levels);
         self.arbiter.release(dst_pipe);
         report
     }
 
+    /// The MVM body. It reaches the tile's units through disjoint field
+    /// borrows, so the vACore is borrowed from the table rather than
+    /// cloned.
     fn exec_mvm_inner(
         &mut self,
-        core: &VaCore,
+        id: VaCoreId,
         input: &[i64],
         dst_pipe: usize,
         regs: &ReductionRegs,
         early_levels: Option<u16>,
     ) -> Result<MvmReport> {
+        let core = self.vacores.get(id)?;
         let dim = self.config.params.array_dim;
         let driver = InputDriver::new(core.input_bits, core.input_signed).map_err(Error::Analog)?;
         let mut padded_input = vec![0i64; dim];
@@ -526,25 +530,30 @@ impl<P: DcePipeline> GenericTile<P> {
             )));
         }
         let mut transfer_total = Cycles::ZERO;
+        // One landing buffer serves every term.
+        let mut fields = Vec::with_capacity(core.cols);
         for t in 0..terms {
             let s = t / input_bits;
             let b = t % input_bits;
-            // The grouped MVM concatenates each array's live columns, so
-            // slice `s` occupies [s*cols, (s+1)*cols).
-            let codes: Vec<i64> = out.partial_products[b][s * core.cols..(s + 1) * core.cols]
-                .iter()
-                .map(|&code| ((code as f64) * lsb).round() as i64)
-                .collect();
             // In-flight transform applies only the shift; the term's sign
             // is handled by the IIU's Sub step (negating here too would
             // double-count it).
-            let (shift, _negative) = core.term_shift(t);
-            let landing = if self.config.optimized_schedule {
-                self.shift_unit.apply(&codes, shift, false)
+            let shift = if self.config.optimized_schedule {
+                core.term_shift(t).0
             } else {
-                codes
+                0
             };
-            let fields: Vec<u64> = landing.iter().map(|&v| (v as u64) & field_mask).collect();
+            // The grouped MVM concatenates each array's live columns, so
+            // slice `s` occupies [s*cols, (s+1)*cols).
+            fields.clear();
+            fields.extend(
+                out.partial_products[b][s * core.cols..(s + 1) * core.cols]
+                    .iter()
+                    .map(|&code| {
+                        let code = ((code as f64) * lsb).round() as i64;
+                        (self.shift_unit.shift(code, shift, false) as u64) & field_mask
+                    }),
+            );
             pipe.write_vector(regs.parts[t].0 as usize, &fields)?;
             transfer_total += self.shift_unit.transfer_cycles(core.cols as u64, 8)
                 + self.transpose.vector_retime_cycles();

@@ -60,15 +60,18 @@ impl ShiftUnit {
     pub fn apply(&self, codes: &[i64], amount: u8, negative: bool) -> Vec<i64> {
         codes
             .iter()
-            .map(|&c| {
-                let shifted = c << amount;
-                if negative {
-                    -shifted
-                } else {
-                    shifted
-                }
-            })
+            .map(|&c| self.shift(c, amount, negative))
             .collect()
+    }
+
+    /// [`ShiftUnit::apply`] on one code.
+    pub(crate) fn shift(&self, code: i64, amount: u8, negative: bool) -> i64 {
+        let shifted = code << amount;
+        if negative {
+            -shifted
+        } else {
+            shifted
+        }
     }
 }
 

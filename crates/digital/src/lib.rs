@@ -57,6 +57,7 @@ pub mod macros;
 pub mod packed;
 pub mod pipeline;
 pub mod timing;
+mod transpose;
 
 pub use array::DigitalArray;
 pub use dce::DcePipeline;

@@ -17,17 +17,20 @@
 //! the picojoule). Scratch columns are not modelled — they are
 //! unobservable through the pipeline API — but the primitives their gate
 //! decompositions would execute are still counted. The differential suite
-//! in `darth_sim` (`fast_vs_reference`) and the property tests in
-//! `crates/digital/tests/packed_property.rs` pin this equivalence.
+//! in `darth_sim` (`fast_vs_reference`) and the macro-sequence
+//! differential test in `crates/digital/tests/packed_differential.rs`
+//! pin this equivalence.
 
 use crate::dce::DcePipeline;
 use crate::logic::BoolOp;
 use crate::macros::MacroOp;
 use crate::pipeline::PipelineConfig;
 use crate::timing::{MacroCost, PipelineTimer};
+use crate::transpose::{planes_to_values, values_to_planes, BLOCK};
 use crate::{Error, Result};
 use darth_reram::{Cycles, PicoJoules};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// A row of bits packed 64-per-`u64`, with unused tail bits held at zero.
 ///
@@ -306,6 +309,35 @@ impl PackedBits {
     }
 }
 
+/// Division by a fixed divisor without a hardware divide, which would
+/// otherwise dominate a gather's address split. A multiply by the
+/// rounded-down reciprocal `⌊(2^64 − 1) / d⌋` undershoots the quotient
+/// by less than one, so it is the quotient or one less, and one
+/// branch-free correction makes it exact for every `u64`.
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    d: u64,
+    recip: u64,
+}
+
+impl Divisor {
+    fn new(d: u64) -> Self {
+        Divisor {
+            d,
+            recip: u64::MAX / d,
+        }
+    }
+
+    /// `(a / d, a % d)`.
+    #[inline]
+    fn div_rem(self, a: u64) -> (u64, u64) {
+        let q = ((u128::from(a) * u128::from(self.recip)) >> 64) as u64;
+        let r = a - q * self.d;
+        let fix = u64::from(r >= self.d);
+        (q + fix, r - fix * self.d)
+    }
+}
+
 // Scratch-free fast path: the reference pipeline's scratch columns are
 // unobservable through the API, so the packed model books their primitive
 // counts without materialising them.
@@ -323,6 +355,13 @@ impl PackedBits {
 /// semantics, argument validation, timing charges and primitive
 /// accounting all mirror the reference implementation exactly; see the
 /// module docs for the equivalence contract.
+///
+/// Element-wise loads read registers as values, not planes. Each
+/// register's value view is built on first use by a gather (as the
+/// address register or as a table register) and kept until the register
+/// is written: every write takes its destination row from
+/// `PackedPipeline::write_row`, which drops that register's view, and
+/// `reverse` drops them all.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PackedPipeline {
     config: PipelineConfig,
@@ -331,6 +370,32 @@ pub struct PackedPipeline {
     words: Vec<u64>,
     primitives: u64,
     timer: PipelineTimer,
+    views: ViewCache,
+}
+
+/// Per-register value views for gathers: `elements` values each, built
+/// lazily through `&self` (a table arrives shared), hence the
+/// `OnceLock`s. The slot array itself is allocated on the first gather.
+///
+/// The cache is invisible: it compares equal to any other cache, and a
+/// clone starts empty, so cloning a machine that never gathered
+/// allocates nothing for views.
+#[derive(Debug, Default)]
+struct ViewCache(OnceLock<Box<[View]>>);
+
+/// One register's value view, once built.
+type View = OnceLock<Box<[u64]>>;
+
+impl Clone for ViewCache {
+    fn clone(&self) -> Self {
+        ViewCache::default()
+    }
+}
+
+impl PartialEq for ViewCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl PackedPipeline {
@@ -348,6 +413,7 @@ impl PackedPipeline {
             words: vec![0; config.vr_count * config.depth * nw],
             primitives: 0,
             timer: PipelineTimer::new(config.depth as u64),
+            views: ViewCache::default(),
         })
     }
 
@@ -377,12 +443,17 @@ impl PackedPipeline {
     }
 
     fn charge(&mut self, op: MacroOp) {
+        self.charge_n(op, 1);
+    }
+
+    /// Books `n` issues of `op` at once (per-element I/O).
+    fn charge_n(&mut self, op: MacroOp, n: usize) {
         let cost = op.cost(
             self.config.family,
             self.config.depth as u64,
             self.config.elements as u64,
         );
-        self.timer.issue(cost);
+        self.timer.issue_n(cost, n as u64);
     }
 
     /// Books the primitives a macro's gate decomposition executes on the
@@ -405,6 +476,58 @@ impl PackedPipeline {
         (vr * self.config.depth + plane) * self.nw
     }
 
+    /// Start of register `vr`'s plane block, for writing it. This is the
+    /// view cache's one invalidation point: every write to a register
+    /// takes its row from here, which drops the register's value view.
+    #[inline]
+    fn write_row(&mut self, vr: usize) -> usize {
+        if let Some(slots) = self.views.0.get_mut() {
+            slots[vr].take();
+        }
+        self.row(vr, 0)
+    }
+
+    /// Register `vr` as `elements` values, built on first use and reused
+    /// until the register is written.
+    fn view(&self, vr: usize) -> &[u64] {
+        let slots = self
+            .views
+            .0
+            .get_or_init(|| (0..self.config.vr_count).map(|_| OnceLock::new()).collect());
+        slots[vr].get_or_init(|| {
+            let mut values = vec![0; self.config.elements];
+            self.load_values(vr, &mut values);
+            values.into()
+        })
+    }
+
+    /// The first `out.len()` values of register `vr`, one transposed
+    /// word block at a time.
+    fn load_values(&self, vr: usize, out: &mut [u64]) {
+        let (depth, nw, r0) = (self.config.depth, self.nw, self.row(vr, 0));
+        for (wi, chunk) in out.chunks_mut(BLOCK).enumerate() {
+            let mut planes = [0u64; BLOCK];
+            for (i, p) in planes[..depth].iter_mut().enumerate() {
+                *p = self.words[r0 + i * nw + wi];
+            }
+            planes_to_values(planes, depth, chunk);
+        }
+    }
+
+    /// Writes `values` (each within the depth) into the first
+    /// `values.len()` elements of `vr`; later elements keep their bits.
+    fn store_values(&mut self, vr: usize, values: &[u64]) {
+        let (depth, nw, r0) = (self.config.depth, self.nw, self.write_row(vr));
+        for (wi, chunk) in values.chunks(BLOCK).enumerate() {
+            let planes = values_to_planes(chunk, depth);
+            let covered = u64::MAX >> (BLOCK - chunk.len());
+            for (i, &p) in planes[..depth].iter().enumerate() {
+                let slot = &mut self.words[r0 + i * nw + wi];
+                *slot = (*slot & !covered) | p;
+            }
+        }
+    }
+
     /// Mask valid in word `wi` of a row (`u64::MAX` except a short tail).
     #[inline]
     fn wmask(&self, wi: usize) -> u64 {
@@ -416,12 +539,6 @@ impl PackedPipeline {
         } else {
             u64::MAX
         }
-    }
-
-    /// Zeroes the row holding bit `plane` of register `vr`.
-    fn clear_row(&mut self, vr: usize, plane: usize) {
-        let r = self.row(vr, plane);
-        self.words[r..r + self.nw].fill(0);
     }
 
     /// Reads element `e` of `vr` by gathering one bit per plane.
@@ -440,7 +557,7 @@ impl PackedPipeline {
     fn scatter(&mut self, vr: usize, element: usize, value: u64) {
         let (w, b) = (element / 64, element % 64);
         let bit = 1u64 << b;
-        let base = self.row(vr, 0) + w;
+        let base = self.write_row(vr) + w;
         for i in 0..self.config.depth {
             let slot = &mut self.words[base + i * self.nw];
             if value >> i & 1 == 1 {
@@ -469,7 +586,7 @@ impl PackedPipeline {
                 *c = self.wmask(wi);
             }
         }
-        let (ra, rb, rd) = (self.row(a, 0), self.row(b, 0), self.row(dst, 0));
+        let (ra, rb, rd) = (self.row(a, 0), self.row(b, 0), self.write_row(dst));
         for p in 0..self.config.depth {
             let off = p * nw;
             for (wi, c) in carry.iter_mut().enumerate() {
@@ -540,56 +657,16 @@ impl DcePipeline for PackedPipeline {
             }
             return Ok(());
         }
-        // Transpose values into plane words, sparse over set bits, then
-        // merge (elements past `values.len()` keep their old bits).
-        let nw = self.nw;
-        let depth = self.config.depth;
-        let mut buf = vec![0u64; depth * nw];
-        for (e, &v) in values.iter().enumerate() {
-            let (wi, bi) = (e / 64, e % 64);
-            let mut rem = v;
-            while rem != 0 {
-                buf[rem.trailing_zeros() as usize * nw + wi] |= 1u64 << bi;
-                rem &= rem - 1;
-            }
-        }
-        let r0 = self.row(vr, 0);
-        for i in 0..depth {
-            for wi in 0..nw {
-                let lo = wi * 64;
-                let covered = if values.len() >= lo + 64 {
-                    u64::MAX
-                } else if values.len() > lo {
-                    (1u64 << (values.len() - lo)) - 1
-                } else {
-                    0
-                };
-                let slot = &mut self.words[r0 + i * nw + wi];
-                *slot = (*slot & !covered) | buf[i * nw + wi];
-            }
-        }
-        for _ in 0..values.len() {
-            self.charge(MacroOp::WriteElement);
-        }
+        self.store_values(vr, values);
+        self.charge_n(MacroOp::WriteElement, values.len());
         Ok(())
     }
 
     fn read_vector(&mut self, vr: usize) -> Result<Vec<u64>> {
         self.check_vr(vr)?;
         let mut out = vec![0u64; self.config.elements];
-        let r0 = self.row(vr, 0);
-        for i in 0..self.config.depth {
-            for wi in 0..self.nw {
-                let mut w = self.words[r0 + i * self.nw + wi];
-                while w != 0 {
-                    out[wi * 64 + w.trailing_zeros() as usize] |= 1u64 << i;
-                    w &= w - 1;
-                }
-            }
-        }
-        for _ in 0..self.config.elements {
-            self.charge(MacroOp::ReadElement);
-        }
+        self.load_values(vr, &mut out);
+        self.charge_n(MacroOp::ReadElement, out.len());
         Ok(out)
     }
 
@@ -605,19 +682,7 @@ impl DcePipeline for PackedPipeline {
         self.check_vr(vr)?;
         let depth = self.config.depth;
         let mut out = vec![0u64; count];
-        let r0 = self.row(vr, 0);
-        for i in 0..depth {
-            for wi in 0..self.nw {
-                let mut w = self.words[r0 + i * self.nw + wi];
-                while w != 0 {
-                    let e = wi * 64 + w.trailing_zeros() as usize;
-                    if e < count {
-                        out[e] |= 1u64 << i;
-                    }
-                    w &= w - 1;
-                }
-            }
-        }
+        self.load_values(vr, &mut out);
         let signed = out
             .into_iter()
             .map(|raw| {
@@ -628,9 +693,7 @@ impl DcePipeline for PackedPipeline {
                 }
             })
             .collect();
-        for _ in 0..count {
-            self.charge(MacroOp::ReadElement);
-        }
+        self.charge_n(MacroOp::ReadElement, count);
         Ok(signed)
     }
 
@@ -644,7 +707,7 @@ impl DcePipeline for PackedPipeline {
         self.check_vr(b)?;
         let per_plane = self.config.family.primitives_for(op);
         let nw = self.nw;
-        let (ra, rb, rd) = (self.row(a, 0), self.row(b, 0), self.row(dst, 0));
+        let (ra, rb, rd) = (self.row(a, 0), self.row(b, 0), self.write_row(dst));
         for p in 0..self.config.depth {
             let off = p * nw;
             for wi in 0..nw {
@@ -664,7 +727,7 @@ impl DcePipeline for PackedPipeline {
         self.check_vr(dst)?;
         self.check_vr(a)?;
         let nw = self.nw;
-        let (ra, rd) = (self.row(a, 0), self.row(dst, 0));
+        let (ra, rd) = (self.row(a, 0), self.write_row(dst));
         for p in 0..self.config.depth {
             let off = p * nw;
             for wi in 0..nw {
@@ -716,7 +779,7 @@ impl DcePipeline for PackedPipeline {
             }
         }
         // The reference writes the mask value into every plane of dst.
-        let rd = self.row(dst, 0);
+        let rd = self.write_row(dst);
         for p in 0..self.config.depth {
             let off = p * nw;
             for (wi, &l) in lt.iter().enumerate() {
@@ -743,7 +806,7 @@ impl DcePipeline for PackedPipeline {
             self.row(cond, 0),
             self.row(a, 0),
             self.row(b, 0),
-            self.row(dst, 0),
+            self.write_row(dst),
         );
         for p in 0..self.config.depth {
             let off = p * nw;
@@ -767,7 +830,7 @@ impl DcePipeline for PackedPipeline {
         // it when `dst` aliases `a`.
         let per_plane = self.config.family.primitives_for(BoolOp::And);
         let nw = self.nw;
-        let (ra, rd) = (self.row(a, 0), self.row(dst, 0));
+        let (ra, rd) = (self.row(a, 0), self.write_row(dst));
         let sign_off = (self.config.depth - 1) * nw;
         for p in 0..self.config.depth {
             let off = p * nw;
@@ -788,10 +851,14 @@ impl DcePipeline for PackedPipeline {
         self.check_vr(b)?;
         // Value-level on the reference too; no primitives booked.
         let mask = self.value_mask();
-        for e in 0..self.config.elements {
-            let product = self.gather(a, e).wrapping_mul(self.gather(b, e)) & mask;
-            self.scatter(dst, e, product);
+        let mut product = vec![0u64; self.config.elements];
+        let mut factor = vec![0u64; self.config.elements];
+        self.load_values(a, &mut product);
+        self.load_values(b, &mut factor);
+        for (p, &f) in product.iter_mut().zip(&factor) {
+            *p = p.wrapping_mul(f) & mask;
         }
+        self.store_values(dst, &product);
         self.charge(MacroOp::Mul(width));
         Ok(())
     }
@@ -800,7 +867,7 @@ impl DcePipeline for PackedPipeline {
         self.check_vr(dst)?;
         self.check_vr(src)?;
         let n = self.config.depth * self.nw;
-        let (rs, rd) = (self.row(src, 0), self.row(dst, 0));
+        let (rs, rd) = (self.row(src, 0), self.write_row(dst));
         self.words.copy_within(rs..rs + n, rd);
         // Boolean identity (OR(a,a)): one primitive per plane.
         self.book(self.config.depth as u64);
@@ -821,7 +888,7 @@ impl DcePipeline for PackedPipeline {
         // register is one contiguous block on each side.
         let n = self.config.depth * self.nw;
         let rs = other.row(src_vr, 0);
-        let rd = self.row(dst_vr, 0);
+        let rd = self.write_row(dst_vr);
         self.words[rd..rd + n].copy_from_slice(&other.words[rs..rs + n]);
         self.charge(MacroOp::CopyAcross);
         Ok(())
@@ -842,14 +909,12 @@ impl DcePipeline for PackedPipeline {
         // reference's descending plane loop produces.
         let nw = self.nw;
         let depth = self.config.depth;
-        let (rs, rd) = (self.row(src, 0), self.row(dst, 0));
+        let (rs, rd) = (self.row(src, 0), self.write_row(dst));
         if k < depth {
             let n = (depth - k) * nw;
             self.words.copy_within(rs..rs + n, rd + k * nw);
         }
-        for i in 0..k.min(depth) {
-            self.clear_row(dst, i);
-        }
+        self.words[rd..rd + k.min(depth) * nw].fill(0);
         self.charge(MacroOp::ShiftBits(k as u8));
         Ok(())
     }
@@ -865,14 +930,12 @@ impl DcePipeline for PackedPipeline {
         }
         let nw = self.nw;
         let depth = self.config.depth;
-        let (rs, rd) = (self.row(src, 0), self.row(dst, 0));
+        let (rs, rd) = (self.row(src, 0), self.write_row(dst));
         if k < depth {
             let n = (depth - k) * nw;
             self.words.copy_within(rs + k * nw..rs + k * nw + n, rd);
         }
-        for i in depth.saturating_sub(k)..depth {
-            self.clear_row(dst, i);
-        }
+        self.words[rd + depth.saturating_sub(k) * nw..rd + depth * nw].fill(0);
         self.charge(MacroOp::ShiftBits(k as u8));
         Ok(())
     }
@@ -903,13 +966,14 @@ impl DcePipeline for PackedPipeline {
         self.shl(tmp, src, k)?;
         self.shr(dst, src, width - k)?;
         self.bool_op(BoolOp::Or, dst, dst, tmp)?;
-        for i in width..self.config.depth {
-            self.clear_row(dst, i);
-        }
+        let rd = self.write_row(dst);
+        self.words[rd + width * self.nw..rd + self.config.depth * self.nw].fill(0);
         Ok(())
     }
 
     fn reverse(&mut self) {
+        // Every register changes, so every view goes.
+        self.views.0.take();
         // Swap plane p with plane depth-1-p inside every register block.
         let depth = self.config.depth;
         let nw = self.nw;
@@ -932,73 +996,33 @@ impl DcePipeline for PackedPipeline {
         }
         self.check_vr(addr_vr)?;
         self.check_vr(dst_vr)?;
-        let depth = self.config.depth;
-        let nw = self.nw;
-        let t_nw = table.nw;
+        let elements = self.config.elements;
         let t_elems = table.config.elements;
         let capacity = (table.config.vr_count * t_elems) as u64;
-        // Transpose the address register once, sparse over its set bits,
-        // instead of gathering each element's address bit by bit.
-        let mut addrs = vec![0u64; self.config.elements];
-        let r_addr = self.row(addr_vr, 0);
-        for i in 0..depth {
-            for wi in 0..nw {
-                let mut w = self.words[r_addr + i * nw + wi];
-                while w != 0 {
-                    addrs[wi * 64 + w.trailing_zeros() as usize] |= 1u64 << i;
-                    w &= w - 1;
-                }
-            }
-        }
+        // Addresses and table entries come from value views, so a gather
+        // is one indexed load per element plus one transpose per block
+        // into the destination planes.
+        let addrs = self.view(addr_vr);
         // Validate addresses up front (ascending, like the scalar loop).
-        let bad = addrs
+        let bad = addrs.iter().position(|&a| a >= capacity);
+        let limit = bad.unwrap_or(elements);
+        let rows = Divisor::new(t_elems as u64);
+        let values: Vec<u64> = addrs[..limit]
             .iter()
-            .enumerate()
-            .find(|&(_, &a)| a >= capacity)
-            .map(|(e, &a)| (e, a));
-        let limit = bad.map_or(self.config.elements, |(e, _)| e);
-        // Gather element-major, in place: each address becomes its table
-        // value. A run of equal addresses (a zero tail, say) reads the
-        // table once.
-        let mut prev: Option<(u64, u64)> = None;
-        for slot in &mut addrs[..limit] {
-            let a = *slot;
-            *slot = match prev {
-                Some((pa, pv)) if pa == a => pv,
-                _ => {
-                    let (tvr, trow) = (a as usize / t_elems, a as usize % t_elems);
-                    let base = tvr * depth * t_nw + trow / 64;
-                    let shift = trow % 64;
-                    (0..depth).fold(0u64, |v, i| {
-                        v | (table.words[base + i * t_nw] >> shift & 1) << i
-                    })
-                }
-            };
-            prev = Some((a, *slot));
-        }
-        let values = &addrs[..limit];
-        if let Some((_, address)) = bad {
-            // Match the scalar loop's partial-scatter semantics: elements
-            // before the offending address have landed.
-            for (pe, &v) in values.iter().enumerate() {
-                self.scatter(dst_vr, pe, v);
-            }
+            .map(|&a| {
+                let (tvr, trow) = rows.div_rem(a);
+                table.view(tvr as usize)[trow as usize]
+            })
+            .collect();
+        let address = bad.map(|e| addrs[e]);
+        // On a bad address the elements before it have landed, as in the
+        // scalar loop; otherwise every element is replaced.
+        self.store_values(dst_vr, &values);
+        if let Some(address) = address {
             return Err(Error::AddressOutOfRange {
                 address,
                 count: table.config.vr_count * t_elems,
             });
-        }
-        // Every element was loaded, so the destination register block is
-        // cleared and then set sparsely, one bit per set value bit.
-        let rd = self.row(dst_vr, 0);
-        let block = &mut self.words[rd..rd + depth * nw];
-        block.fill(0);
-        for (e, mut v) in values.iter().copied().enumerate() {
-            let (wi, bit) = (e / 64, 1u64 << (e % 64));
-            while v != 0 {
-                block[v.trailing_zeros() as usize * nw + wi] |= bit;
-                v &= v - 1;
-            }
         }
         self.charge(MacroOp::ElementLoad);
         Ok(())
@@ -1167,6 +1191,24 @@ mod tests {
                 );
             }
             assert_eq!(DcePipeline::elapsed(&fast), slow.elapsed(), "case {case}");
+        }
+    }
+
+    #[test]
+    fn divisor_matches_hardware_division() {
+        let edges = [0u64, 1, 2, 63, 64, 65, 1 << 32, u64::MAX - 1, u64::MAX];
+        for d in (1..=300u64).chain([1 << 20, (1 << 32) + 1, u64::MAX / 3, u64::MAX]) {
+            let div = Divisor::new(d);
+            let near = [
+                d - 1,
+                d,
+                d.saturating_add(1),
+                d.saturating_mul(2),
+                d.saturating_mul(3) - 1,
+            ];
+            for a in (0..2000u64).chain(edges).chain(near) {
+                assert_eq!(div.div_rem(a), (a / d, a % d), "{a} / {d}");
+            }
         }
     }
 
